@@ -14,10 +14,8 @@ from .closed_form import (
     delta_e_analytic,
     e0_analytic,
     force_analytic,
-    mode_frequency,
     surface_energy,
     total_energy_analytic,
-    vacuum_force,
 )
 from .crosscheck import (
     ComparisonReport,
@@ -35,7 +33,6 @@ from .dispersion import (
     Tabulated,
     UnsupportedModelError,
     ValidityReport,
-    index_of_real_frequency,
     kappa_lower,
     load_index_table,
     validity,
@@ -43,7 +40,6 @@ from .dispersion import (
 from .lifshitz import (
     DEFAULT_QUADRATURE,
     Estimate,
-    IntegrandPoint,
     Mode,
     QuadratureError,
     QuadratureSpec,
@@ -53,7 +49,6 @@ from .lifshitz import (
     force_lifshitz,
     inner_integral,
     inner_integral_quadrature,
-    integrand_point,
     total_energy_lifshitz,
 )
 from .special import (
@@ -78,7 +73,6 @@ __all__ = [
     "EnergyBreakdown",
     "Estimate",
     "HBAR_C_JOULE_METER",
-    "IntegrandPoint",
     "LowerLimit",
     "Method",
     "Mode",
@@ -104,14 +98,11 @@ __all__ = [
     "first_order_slope",
     "force_analytic",
     "force_lifshitz",
-    "index_of_real_frequency",
     "inner_integral",
     "inner_integral_quadrature",
-    "integrand_point",
     "kappa_lower",
     "load_index_table",
     "log_one_minus_exp",
-    "mode_frequency",
     "polylog",
     "polylog_exp_neg",
     "richardson",
@@ -119,7 +110,6 @@ __all__ = [
     "surface_energy",
     "total_energy_analytic",
     "total_energy_lifshitz",
-    "vacuum_force",
     "validity",
     "validity_sweep",
     "zeta_value",

@@ -13,9 +13,8 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,7 +58,7 @@ class SweepSpec:
     min: float
     max: float
     points: int
-    scale: str = "linear"
+    scale: str
 
     def __post_init__(self):
         if self.variable not in ("L", "n1"):
@@ -90,41 +89,6 @@ def _fmt(x: float) -> str:
     return format(x, ".16e")
 
 
-def _as_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# key -> (converter for config values, hard default)
-_COMMON_OPTIONS = {
-    "L": (float, None),
-    "n0": (float, None),
-    "n1": (float, None),
-    "ns_table": (str, None),
-    "cs": (float, None),
-    "method": (str, None),
-    "mode": (str, None),
-    "rel_tol": (float, None),
-    "h_rel": (float, 1e-4),
-    "si": (_as_bool, False),
-    "length_unit": (float, None),
-    "format": (str, None),
-    "out": (str, None),
-}
-
-_SWEEP_ONLY = {
-    "variable": (str, None),
-    "min": (float, None),
-    "max": (float, None),
-    "points": (int, None),
-    "scale": (str, "linear"),
-}
-
-
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path) as handle:
@@ -139,37 +103,41 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, option_spec: dict) -> dict:
-    config = _read_config(args.config) if args.config else {}
-    unknown = set(config) - set(option_spec)
+def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
+    """The flags a config file stands for, so argparse checks them like typed flags."""
+    known = set(vars(args)) - {"command", "handler", "config"}
+    entries = _read_config(path)
+    unknown = sorted(set(entries) - known)
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for key, (convert, default) in option_spec.items():
-        value = getattr(args, key)
-        if value is None and key in config:
-            value = convert(config[key])
-        if value is None:
-            value = default
-        resolved[key] = value
-    return resolved
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    argv = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # a switch such as --si
+            if value.lower() in ("1", "true", "yes", "on"):
+                argv.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"config key {key}: expected a boolean, got {value!r}")
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def _add_shared_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=float, default=None, help="plate separation (natural length units)")
-    parser.add_argument("--n0", type=float, default=None, help="constant part of the refractive index")
-    parser.add_argument("--n1", type=float, default=None, help="quadratic dispersion coefficient (length^2)")
-    parser.add_argument("--ns-table", default=None, help="CSV of (xi, n) index samples on the imaginary-frequency axis")
-    parser.add_argument("--cs", type=float, default=None, help="surface-term coefficient c_s (energy = c_s/L^4)")
-    parser.add_argument("--method", choices=("analytic", "lifshitz", "both"), default=None, help="evaluation route")
-    parser.add_argument("--mode", choices=("split", "full"), default=None, help="quadrature mode (default: split; full for tabulated data)")
-    parser.add_argument("--rel-tol", type=float, default=None, help="relative quadrature tolerance (default 1e-10)")
-    parser.add_argument("--h-rel", type=float, default=None, help="relative step of the force finite difference (default 1e-4)")
-    parser.add_argument("--si", action="store_true", default=None, help="emit SI values (J/m^2, Pa)")
-    parser.add_argument("--length-unit", type=float, default=None, help="meters per natural length unit (with --si)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-    parser.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    parser.add_argument("--config", default=None, help="flat key = value file mirroring the flags; flags win")
+    parser.add_argument("--L", type=float, help="plate separation (natural length units)")
+    parser.add_argument("--n0", type=float, help="constant part of the refractive index")
+    parser.add_argument("--n1", type=float, help="quadratic dispersion coefficient (length^2)")
+    parser.add_argument("--ns-table", help="CSV of (xi, n) index samples on the imaginary-frequency axis")
+    parser.add_argument("--cs", type=float, help="surface-term coefficient c_s (energy = c_s/L^4)")
+    parser.add_argument("--method", choices=("analytic", "lifshitz", "both"), help="evaluation route")
+    parser.add_argument("--mode", choices=("split", "full"), help="quadrature mode (default: split; full for tabulated data)")
+    parser.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol, help="relative quadrature tolerance (default %(default)g)")
+    parser.add_argument("--h-rel", type=float, default=1e-4, help="relative step of the force finite difference (default %(default)g)")
+    parser.add_argument("--si", action="store_true", help="emit SI values (J/m^2, Pa)")
+    parser.add_argument("--length-unit", type=float, help="meters per natural length unit (with --si)")
+    parser.add_argument("--format", choices=("json", "csv"), help="output format")
+    parser.add_argument("--out", help="write output to this file instead of stdout")
+    parser.add_argument("--config", help="flat key = value file mirroring the flags; flags win")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,11 +157,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid over the separation or the dispersion coefficient")
     _add_shared_options(sweep)
-    sweep.add_argument("--variable", choices=("L", "n1"), default=None, help="swept quantity")
-    sweep.add_argument("--min", type=float, default=None, help="grid start")
-    sweep.add_argument("--max", type=float, default=None, help="grid end")
-    sweep.add_argument("--points", type=int, default=None, help="number of grid points (>= 2)")
-    sweep.add_argument("--scale", choices=("linear", "log"), default=None, help="grid spacing (default linear)")
+    sweep.add_argument("--variable", choices=("L", "n1"), help="swept quantity")
+    sweep.add_argument("--min", type=float, help="grid start")
+    sweep.add_argument("--max", type=float, help="grid end")
+    sweep.add_argument("--points", type=int, help="number of grid points (>= 2)")
+    sweep.add_argument("--scale", choices=("linear", "log"), default="linear", help="grid spacing (default %(default)s)")
     sweep.set_defaults(handler=_cmd_sweep)
 
     validate = sub.add_parser("validate", help="run the cross-validation battery")
@@ -211,40 +179,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_model(opts: dict, parser: argparse.ArgumentParser):
-    if opts["ns_table"] is not None:
-        if opts["n0"] is not None or opts["n1"] is not None:
+def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, *keys: str) -> None:
+    # not argparse's required=True: a config file may supply these
+    for key in keys:
+        if getattr(args, key) is None:
+            parser.error(f"--{key} is required")
+
+
+def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser):
+    if args.ns_table is not None:
+        if args.n0 is not None or args.n1 is not None:
             parser.error("--ns-table and --n0/--n1 are mutually exclusive")
-        return load_index_table(opts["ns_table"])
-    if opts["n0"] is None:
+        return load_index_table(args.ns_table)
+    if args.n0 is None:
         parser.error("one of --n0 or --ns-table is required")
-    if opts["n1"] is None:
-        return Constant(opts["n0"])
-    return Cauchy(opts["n0"], opts["n1"])
-
-
-def _quad_spec(opts: dict) -> QuadratureSpec:
-    if opts["rel_tol"] is None:
-        return DEFAULT_QUADRATURE
-    return QuadratureSpec(rel_tol=opts["rel_tol"])
-
-
-def _unit_system(opts: dict) -> UnitSystem:
-    if not opts["si"]:
-        return UnitSystem()
-    return UnitSystem(UnitMode.SI, opts["length_unit"])
-
-
-def _mode_for(opts: dict, model) -> Mode:
-    if opts["mode"] == "full":
-        return Mode.FULL_KAPPA1
-    if opts["mode"] == "split":
-        return Mode.FIRST_ORDER_SPLIT
-    return Mode.FULL_KAPPA1 if isinstance(model, Tabulated) else Mode.FIRST_ORDER_SPLIT
-
-
-def _method_list(method: str) -> list[str]:
-    return ["analytic", "lifshitz"] if method == "both" else [method]
+    if args.n1 is None:
+        return Constant(args.n0)
+    return Cauchy(args.n0, args.n1)
 
 
 def _evaluate(scenario: Scenario, method: str, quad, mode, h_rel):
@@ -254,15 +205,6 @@ def _evaluate(scenario: Scenario, method: str, quad, mode, h_rel):
     breakdown = total_energy_lifshitz(scenario, quad, mode)
     force = force_lifshitz(scenario, quad, h_rel, mode)
     return breakdown, force.value, force.error
-
-
-def _warn_validity(scenario: Scenario) -> None:
-    message = "warning: result lies outside the dispersion model's trust region"
-    model = scenario.model
-    if isinstance(model, Cauchy) and model.n1 > 0.0:
-        bound = 2.0 * math.pi * math.sqrt(model.n1)
-        message += f" (separation {scenario.L:g} vs bound {bound:g})"
-    print(message, file=sys.stderr)
 
 
 def _result_record(breakdown, force, force_error, units: UnitSystem) -> dict:
@@ -298,33 +240,23 @@ def _model_echo(model) -> dict:
     }
 
 
-def _units_echo(units: UnitSystem) -> dict:
-    return {
-        "mode": units.mode.value,
-        "length_unit_in_meters": units.length_unit_in_meters,
-    }
-
-
-def _csv_text(first_column: str, rows: list[list[str]]) -> str:
+def _csv_text(first_column: str, rows: list[tuple[float, dict]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([first_column, *_CSV_COLUMNS])
-    writer.writerows(rows)
+    for value, record in rows:
+        writer.writerow([
+            _fmt(value),
+            _fmt(record["e0"]),
+            _fmt(record["delta_e"]),
+            _fmt(record["e_surface"]),
+            _fmt(record["total"]),
+            _fmt(record["force"]),
+            record["method"],
+            _fmt(record["error_estimate"]),
+            "1" if record["beyond_validity"] else "0",
+        ])
     return buffer.getvalue()
-
-
-def _csv_row(variable_value: float, record: dict) -> list[str]:
-    return [
-        _fmt(variable_value),
-        _fmt(record["e0"]),
-        _fmt(record["delta_e"]),
-        _fmt(record["e_surface"]),
-        _fmt(record["total"]),
-        _fmt(record["force"]),
-        record["method"],
-        _fmt(record["error_estimate"]),
-        "1" if record["beyond_validity"] else "0",
-    ]
 
 
 def _emit(text: str, out_path) -> None:
@@ -335,97 +267,29 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
 
 
-def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _resolve(args, _COMMON_OPTIONS)
-    model = _build_model(opts, parser)
-    if opts["L"] is None:
-        parser.error("--L is required")
-    if opts["method"] is None:
-        parser.error("--method is required")
-    if opts["format"] is None:
-        parser.error("--format is required")
+def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, envelope) -> int:
+    """Evaluate every method at every grid point, warn once, emit CSV or JSON.
 
-    surface = SurfaceTermSpec(opts["cs"]) if opts["cs"] is not None else None
-    scenario = Scenario(opts["L"], model, surface)
-    quad = _quad_spec(opts)
-    units = _unit_system(opts)
-    mode = _mode_for(opts, model)
-
-    records = []
-    for method in _method_list(opts["method"]):
-        breakdown, force, force_error = _evaluate(scenario, method, quad, mode, opts["h_rel"])
-        if breakdown.beyond_validity:
-            _warn_validity(scenario)
-        records.append(_result_record(breakdown, force, force_error, units))
-
-    if opts["format"] == "json":
-        payload = {
-            "scenario": {
-                "L": scenario.L,
-                "model": _model_echo(model),
-                "c_s": surface.c_s if surface else None,
-            },
-            "units": _units_echo(units),
-            "results": records,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+    ``model`` is the medium the JSON scenario echoes (for an n1 sweep its
+    dispersion-free base), ``scenario_at(value, surface)`` builds the problem
+    at one grid value and ``envelope(head, rows)`` wraps the JSON rows.
+    """
+    surface = SurfaceTermSpec(args.cs) if args.cs is not None else None
+    quad = QuadratureSpec(rel_tol=args.rel_tol)
+    units = UnitSystem(UnitMode.SI, args.length_unit) if args.si else UnitSystem()
+    if args.mode is not None:
+        mode = Mode(args.mode)
     else:
-        text = _csv_text("L", [_csv_row(scenario.L, r) for r in records])
-    _emit(text, opts["out"])
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    opts = _resolve(args, {**_COMMON_OPTIONS, **_SWEEP_ONLY})
-    for key in ("variable", "min", "max", "points"):
-        if opts[key] is None:
-            parser.error(f"--{key} is required")
-    if opts["method"] is None:
-        parser.error("--method is required")
-    if opts["format"] is None:
-        parser.error("--format is required")
-    try:
-        spec = SweepSpec(opts["variable"], opts["min"], opts["max"], opts["points"], opts["scale"])
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    surface = SurfaceTermSpec(opts["cs"]) if opts["cs"] is not None else None
-    quad = _quad_spec(opts)
-    units = _unit_system(opts)
-
-    if spec.variable == "n1":
-        if opts["ns_table"] is not None:
-            parser.error("cannot sweep n1 against a tabulated model")
-        if opts["n0"] is None:
-            parser.error("--n0 is required when sweeping n1")
-        if opts["L"] is None:
-            parser.error("--L is required when sweeping n1")
-
-        def scenario_at(value: float) -> Scenario:
-            return Scenario(opts["L"], Cauchy(opts["n0"], value), surface)
-
-        fixed_model = Cauchy(opts["n0"], 0.0)
-    else:
-        fixed_model = _build_model(opts, parser)
-
-        def scenario_at(value: float) -> Scenario:
-            return Scenario(value, fixed_model, surface)
-
-    mode = _mode_for(opts, fixed_model)
-    methods = _method_list(opts["method"])
+        mode = Mode.FULL_KAPPA1 if isinstance(model, Tabulated) else Mode.FIRST_ORDER_SPLIT
+    methods = ["analytic", "lifshitz"] if args.method == "both" else [args.method]
 
     rows = []
-    records = []
-    flagged = 0
-    for value in spec.grid():
-        scenario = scenario_at(value)
+    for value in grid:
+        scenario = scenario_at(value, surface)
         for method in methods:
-            breakdown, force, force_error = _evaluate(scenario, method, quad, mode, opts["h_rel"])
-            record = _result_record(breakdown, force, force_error, units)
-            if record["beyond_validity"]:
-                flagged += 1
-            rows.append(_csv_row(value, record))
-            records.append({spec.variable: value, **record})
+            breakdown, force, force_error = _evaluate(scenario, method, quad, mode, args.h_rel)
+            rows.append((value, _result_record(breakdown, force, force_error, units)))
+    flagged = sum(1 for _, record in rows if record["beyond_validity"])
     if flagged:
         print(
             f"warning: {flagged} of {len(rows)} rows lie outside the dispersion "
@@ -433,28 +297,65 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             file=sys.stderr,
         )
 
-    if opts["format"] == "json":
-        payload = {
-            "sweep": {
-                "variable": spec.variable,
-                "min": spec.min,
-                "max": spec.max,
-                "points": spec.points,
-                "scale": spec.scale,
+    if args.format == "json":
+        head = {
+            "scenario": {"L": args.L, "model": _model_echo(model), "c_s": args.cs},
+            "units": {
+                "mode": units.mode.value,
+                "length_unit_in_meters": units.length_unit_in_meters,
             },
-            "scenario": {
-                "L": opts["L"],
-                "model": _model_echo(fixed_model),
-                "c_s": surface.c_s if surface else None,
-            },
-            "units": _units_echo(units),
-            "rows": records,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(envelope(head, rows), indent=2) + "\n"
     else:
-        text = _csv_text(spec.variable, rows)
-    _emit(text, opts["out"])
+        text = _csv_text(variable, rows)
+    _emit(text, args.out)
     return 0
+
+
+def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    model = _build_model(args, parser)
+    _require(parser, args, "L", "method", "format")
+
+    def envelope(head: dict, rows: list) -> dict:
+        return {**head, "results": [record for _, record in rows]}
+
+    def scenario_at(L: float, surface) -> Scenario:
+        return Scenario(L, model, surface)
+
+    return _run(args, model, "L", [args.L], scenario_at, envelope)
+
+
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _require(parser, args, "variable", "min", "max", "points", "method", "format")
+    try:
+        spec = SweepSpec(args.variable, args.min, args.max, args.points, args.scale)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if getattr(args, spec.variable) is not None:
+        parser.error(f"--{spec.variable} is the swept variable and cannot also be fixed")
+
+    if spec.variable == "n1":
+        if args.ns_table is not None:
+            parser.error("cannot sweep n1 against a tabulated model")
+        if args.n0 is None:
+            parser.error("--n0 is required when sweeping n1")
+        if args.L is None:
+            parser.error("--L is required when sweeping n1")
+        model = Cauchy(args.n0, 0.0)
+
+        def scenario_at(n1: float, surface) -> Scenario:
+            return Scenario(args.L, Cauchy(args.n0, n1), surface)
+    else:
+        model = _build_model(args, parser)
+
+        def scenario_at(L: float, surface) -> Scenario:
+            return Scenario(L, model, surface)
+
+    def envelope(head: dict, rows: list) -> dict:
+        body = [{spec.variable: value, **record} for value, record in rows]
+        return {"sweep": asdict(spec), **head, "rows": body}
+
+    return _run(args, model, spec.variable, spec.grid(), scenario_at, envelope)
 
 
 def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -471,8 +372,14 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # config entries go in as flags ahead of the command line's own,
+            # so they pass the same checks and a repeated flag wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
         return args.handler(args, parser)
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)

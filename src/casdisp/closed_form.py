@@ -20,26 +20,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dispersion import (
-    Cauchy,
-    Constant,
-    DispersionModel,
-    Tabulated,
-    UnsupportedModelError,
-)
+from .dispersion import DispersionModel, cauchy_coefficients, validity
 
 __all__ = [
     "Method",
     "SurfaceTermSpec",
     "Scenario",
     "EnergyBreakdown",
-    "mode_frequency",
     "e0_analytic",
     "delta_e_analytic",
     "surface_energy",
     "total_energy_analytic",
     "force_analytic",
-    "vacuum_force",
 ]
 
 
@@ -91,19 +83,6 @@ class EnergyBreakdown:
     beyond_validity: bool = False
 
 
-def mode_frequency(j: int, k_t: float, L: float, n0: float) -> float:
-    """Frequency of the j-th standing wave at transverse wave number k_t."""
-    if j < 1 or j != int(j):
-        raise ValueError(f"mode number must be a positive integer, got {j}")
-    if not k_t >= 0.0:
-        raise ValueError(f"transverse wave number must be >= 0, got {k_t}")
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
-    if not n0 > 0.0:
-        raise ValueError(f"refractive index must be positive, got {n0}")
-    return math.hypot(k_t, j * math.pi / L) / n0
-
-
 def e0_analytic(L: float, n0: float) -> float:
     """Dispersion-free zero-point energy per area, -pi^2/(720*n0*L^3)."""
     if not L > 0.0:
@@ -133,21 +112,9 @@ def surface_energy(L: float, spec: SurfaceTermSpec) -> float:
     return spec.c_s / L**4
 
 
-def _cauchy_coefficients(model: DispersionModel) -> tuple[float, float]:
-    if isinstance(model, Tabulated):
-        raise UnsupportedModelError("no closed form for tabulated index data")
-    if isinstance(model, Constant):
-        return model.n0, 0.0
-    return model.n0, model.n1
-
-
-def _below_validity(L: float, n1: float) -> bool:
-    return n1 > 0.0 and L <= 2.0 * math.pi * math.sqrt(n1)
-
-
 def total_energy_analytic(scenario: Scenario) -> EnergyBreakdown:
     """Closed-form energy breakdown for a constant or quadratic index."""
-    n0, n1 = _cauchy_coefficients(scenario.model)
+    n0, n1 = cauchy_coefficients(scenario.model)
     e0 = e0_analytic(scenario.L, n0)
     delta = delta_e_analytic(scenario.L, n0, n1)
     e_s = surface_energy(scenario.L, scenario.surface) if scenario.surface else 0.0
@@ -158,23 +125,16 @@ def total_energy_analytic(scenario: Scenario) -> EnergyBreakdown:
         total=e0 + delta + e_s,
         method=Method.ANALYTIC,
         error_estimate=0.0,
-        beyond_validity=_below_validity(scenario.L, n1),
+        beyond_validity=not validity(scenario.model).is_valid_at(scenario.L),
     )
 
 
 def force_analytic(scenario: Scenario) -> float:
     """Force per unit area, -d(total energy)/dL differentiated symbolically."""
-    n0, n1 = _cauchy_coefficients(scenario.model)
+    n0, n1 = cauchy_coefficients(scenario.model)
     L = scenario.L
     force = -math.pi**2 / (240.0 * n0 * L**4)
     force -= n1 * math.pi**4 / (504.0 * n0**4 * L**6)
     if scenario.surface is not None:
         force += 4.0 * scenario.surface.c_s / L**5
     return force
-
-
-def vacuum_force(L: float) -> float:
-    """Force per unit area with vacuum between the plates, -pi^2/(240*L^4)."""
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
-    return -math.pi**2 / (240.0 * L**4)

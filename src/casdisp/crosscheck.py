@@ -18,7 +18,7 @@ from .closed_form import (
     delta_e_analytic,
     total_energy_analytic,
 )
-from .dispersion import Cauchy, Constant, DispersionModel, validity
+from .dispersion import Cauchy, Constant, cauchy_coefficients, validity
 from .lifshitz import (
     DEFAULT_QUADRATURE,
     Mode,
@@ -129,11 +129,12 @@ def first_order_slope(
         n1_probe = 1e-6 * L * L
     if not n1_probe > 0.0:
         raise ValueError(f"probe must be positive, got {n1_probe}")
-    if n1_probe >= L * L / (4.0 * math.pi**2):
+    model = Cauchy(n0, n1_probe)
+    if not validity(model).is_valid_at(L):
         raise ValueError(
             f"probe {n1_probe} leaves the trust region for separation {L}"
         )
-    delta, _ = delta_e_lifshitz_full(L, Cauchy(n0, n1_probe), quad)
+    delta, _ = delta_e_lifshitz_full(L, model, quad)
     return delta.value / n1_probe
 
 
@@ -142,8 +143,7 @@ def validity_sweep(
 ) -> list[ValidityPoint]:
     """Trust-region bound dE/E0 < 1/(14*n0^3) across a separation grid."""
     report = validity(model)
-    n0 = model.n0
-    n1 = model.n1 if isinstance(model, Cauchy) else 0.0
+    n0, n1 = cauchy_coefficients(model)
     points = []
     for L in L_grid:
         if not L > 0.0:

@@ -28,7 +28,7 @@ __all__ = [
     "LowerLimit",
     "ValidityReport",
     "UnsupportedModelError",
-    "index_of_real_frequency",
+    "cauchy_coefficients",
     "kappa_lower",
     "validity",
     "load_index_table",
@@ -130,17 +130,6 @@ class ValidityReport:
         return separation > self.min_separation
 
 
-def index_of_real_frequency(model: DispersionModel, omega: float) -> float:
-    """Refractive index at real frequency omega >= 0."""
-    if not omega >= 0.0:
-        raise ValueError(f"frequency must be non-negative, got {omega}")
-    if isinstance(model, Constant):
-        return model.n0
-    if isinstance(model, Cauchy):
-        return model.n0 + model.n1 * omega * omega
-    return model.index_at(omega)
-
-
 def kappa_lower(model: DispersionModel, xi: float) -> LowerLimit:
     """Lower limit n(i*xi)*xi of the momentum integration at imaginary frequency xi.
 
@@ -163,16 +152,28 @@ def kappa_lower(model: DispersionModel, xi: float) -> LowerLimit:
     return LowerLimit(value, value, False)
 
 
-def validity(model: DispersionModel) -> ValidityReport:
-    """Trust region of the model; undefined for tabulated data."""
+def cauchy_coefficients(model: DispersionModel) -> tuple[float, float]:
+    """(n0, n1) of a constant or quadratic index; tabulated data has none."""
     if isinstance(model, Tabulated):
         raise UnsupportedModelError(
-            "tabulated index data has no closed validity criterion"
+            "tabulated index data has no closed form; "
+            "this needs a constant or quadratic model"
         )
-    n1 = model.n1 if isinstance(model, Cauchy) else 0.0
+    if isinstance(model, Constant):
+        return model.n0, 0.0
+    return model.n0, model.n1
+
+
+def validity(model: DispersionModel) -> ValidityReport:
+    """Trust region of the model; undefined for tabulated data.
+
+    The one statement of the rule L > 2*pi*sqrt(n1): every result's
+    beyond-validity flag comes from ``validity(model).is_valid_at(L)``.
+    """
+    n0, n1 = cauchy_coefficients(model)
     return ValidityReport(
         min_separation=2.0 * math.pi * math.sqrt(n1),
-        ratio_bound=1.0 / (14.0 * model.n0**3),
+        ratio_bound=1.0 / (14.0 * n0**3),
     )
 
 

@@ -40,12 +40,11 @@ from scipy.integrate import quad as _quadpack
 
 from .closed_form import EnergyBreakdown, Method, Scenario, surface_energy
 from .dispersion import (
-    Cauchy,
-    Constant,
     DispersionModel,
     Tabulated,
-    UnsupportedModelError,
+    cauchy_coefficients,
     kappa_lower,
+    validity,
 )
 from .special import ZETA_VALUES, log_one_minus_exp, polylog_exp_neg
 
@@ -55,10 +54,8 @@ __all__ = [
     "QuadratureError",
     "Mode",
     "Estimate",
-    "IntegrandPoint",
     "inner_integral",
     "inner_integral_quadrature",
-    "integrand_point",
     "e0_lifshitz",
     "delta_e_lifshitz_first_order",
     "delta_e_lifshitz_full",
@@ -115,23 +112,6 @@ class Estimate(NamedTuple):
     error: float
 
 
-@dataclass(frozen=True)
-class IntegrandPoint:
-    """One sample of the outer integrand: xi, kappa_1(xi) and I(kappa_1, L)."""
-
-    xi: float
-    kappa1: float
-    inner_value: float
-
-    def __post_init__(self):
-        if self.kappa1 < 0.0:
-            raise ValueError(f"lower limit must be >= 0, got {self.kappa1}")
-        if self.inner_value > 0.0:
-            raise ValueError(
-                f"inner integral must be <= 0, got {self.inner_value}"
-            )
-
-
 def inner_integral(kappa1: float, L: float) -> float:
     """I(kappa_1, L) = int_{kappa_1}^inf kappa*log(1 - e^(-2*kappa*L)) dkappa.
 
@@ -173,12 +153,6 @@ def inner_integral_quadrature(
         integrand, kappa1, upper, epsabs=abs_tol, epsrel=1e-12, limit=500
     )
     return value
-
-
-def integrand_point(model: DispersionModel, L: float, xi: float) -> IntegrandPoint:
-    """Sample the outer integrand of the full-kappa_1 energy at one xi."""
-    low = kappa_lower(model, xi)
-    return IntegrandPoint(xi=xi, kappa1=low.value, inner_value=inner_integral(low.value, L))
 
 
 def _integrate(
@@ -258,16 +232,6 @@ def e0_lifshitz(
     return Estimate(raw / _TWO_PI_SQ, (err + tail) / _TWO_PI_SQ)
 
 
-def _cauchy_n0_n1(model: DispersionModel) -> tuple[float, float]:
-    if isinstance(model, Constant):
-        return model.n0, 0.0
-    if isinstance(model, Cauchy):
-        return model.n0, model.n1
-    raise UnsupportedModelError(
-        "first-order split needs a constant or quadratic index model"
-    )
-
-
 def delta_e_lifshitz_first_order(
     L: float, model: DispersionModel, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> Estimate:
@@ -278,7 +242,7 @@ def delta_e_lifshitz_first_order(
     """
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
-    n0, n1 = _cauchy_n0_n1(model)
+    n0, n1 = cauchy_coefficients(model)
     if n1 == 0.0:
         return Estimate(0.0, 0.0)
     a = 2.0 * n0 * L
@@ -308,7 +272,7 @@ def delta_e_lifshitz_full(
     """
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
-    n0, n1 = _cauchy_n0_n1(model)
+    n0, n1 = cauchy_coefficients(model)
     if n1 == 0.0:
         return Estimate(0.0, 0.0), False
     clamped = False
@@ -337,10 +301,6 @@ def _tabulated_full(
     return Estimate(raw / _TWO_PI_SQ, (err + tail) / _TWO_PI_SQ)
 
 
-def _below_validity(L: float, n1: float) -> bool:
-    return n1 > 0.0 and L <= 2.0 * math.pi * math.sqrt(n1)
-
-
 def total_energy_lifshitz(
     scenario: Scenario,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -357,21 +317,19 @@ def total_energy_lifshitz(
     model = scenario.model
     e_s = surface_energy(L, scenario.surface) if scenario.surface else 0.0
 
-    if mode is Mode.FIRST_ORDER_SPLIT:
-        n0, n1 = _cauchy_n0_n1(model)
+    if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):
+        # sampled data has no closed trust region, so nothing to flag
+        e0 = _tabulated_full(L, model, quad)
+        delta = Estimate(0.0, 0.0)
+        flagged = False
+    elif mode in (Mode.FIRST_ORDER_SPLIT, Mode.FULL_KAPPA1):
+        n0, _ = cauchy_coefficients(model)
         e0 = e0_lifshitz(L, n0, quad)
-        delta = delta_e_lifshitz_first_order(L, model, quad)
-        flagged = _below_validity(L, n1)
-    elif mode is Mode.FULL_KAPPA1:
-        if isinstance(model, Tabulated):
-            e0 = _tabulated_full(L, model, quad)
-            delta = Estimate(0.0, 0.0)
-            flagged = False
-        else:
-            n0, n1 = _cauchy_n0_n1(model)
-            e0 = e0_lifshitz(L, n0, quad)
+        if mode is Mode.FULL_KAPPA1:
             delta, clamped = delta_e_lifshitz_full(L, model, quad)
-            flagged = clamped or _below_validity(L, n1)
+        else:
+            delta, clamped = delta_e_lifshitz_first_order(L, model, quad), False
+        flagged = clamped or not validity(model).is_valid_at(L)
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
 

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from casdisp.cli import main
-from casdisp.lifshitz import QuadratureError
+from casdisp.closed_form import Scenario, total_energy_analytic
+from casdisp.dispersion import Cauchy, validity
+from casdisp.lifshitz import Mode, QuadratureError, total_energy_lifshitz
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +67,14 @@ class TestCompute:
         assert code == 0
         assert "warning" in err
         assert out.splitlines()[1].endswith(",1")
+
+    def test_one_warning_line_per_command(self, capsys):
+        code, _, err = run_cli(
+            capsys, "compute", "--L", "0.1", "--n0", "1", "--n1", "0.01",
+            "--method", "both", "--format", "csv",
+        )
+        assert code == 0
+        assert sum(line.startswith("warning:") for line in err.splitlines()) == 1
 
     def test_si_output(self, capsys):
         code, out, _ = run_cli(
@@ -183,6 +193,38 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ("method = bogus", "bogus"),
+            ("format = xml", "xml"),
+            ("mode = fulll", "fulll"),
+            ("L = wide", "wide"),
+            ("si = maybe", "maybe"),
+        ],
+    )
+    def test_values_checked_like_flags(self, capsys, tmp_path, entry, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"L = 1\nn0 = 1\nmethod = analytic\nformat = csv\n{entry}\n")
+        try:
+            code = main(["compute", "--config", str(cfg)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_si_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        base = "L = 1\nn0 = 1\nmethod = analytic\nformat = json\nlength_unit = 1e-6\n"
+        cfg.write_text(base + "si = true\n")
+        _, out, _ = run_cli(capsys, "compute", "--config", str(cfg))
+        assert json.loads(out)["units"]["mode"] == "si"
+        cfg.write_text(base + "si = false\n")
+        _, out, _ = run_cli(capsys, "compute", "--config", str(cfg))
+        assert json.loads(out)["units"]["mode"] == "natural"
+
 
 class TestSweep:
     SWEEP_ARGS = (
@@ -245,6 +287,22 @@ class TestSweep:
         assert excinfo.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "variable, grid_and_model",
+        [
+            ("L", ["--min", "1", "--max", "2", "--n0", "1", "--L", "7"]),
+            ("n1", ["--min", "0", "--max", "1e-3", "--L", "1", "--n0", "1", "--n1", "0.5"]),
+        ],
+    )
+    def test_swept_variable_cannot_be_fixed(self, capsys, variable, grid_and_model):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sweep", "--variable", variable, "--points", "3", *grid_and_model,
+                "--method", "analytic", "--format", "csv",
+            ])
+        assert excinfo.value.code == 2
+        assert f"--{variable} is the swept variable" in capsys.readouterr().err
+
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--variable", "L", "--min", "1", "--max", "2",
@@ -256,6 +314,27 @@ class TestSweep:
         assert payload["sweep"]["points"] == 2
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["L"] == 1.0
+
+
+class TestTrustRegionRule:
+    @pytest.mark.parametrize("n1", [1e-4, 1e-2, 0.25])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_one_rule_one_flag(self, capsys, n1, above):
+        L = 2.0 * math.pi * math.sqrt(n1)
+        if above:
+            L = math.nextafter(L, math.inf)
+        scenario = Scenario(L, Cauchy(1.0, n1))
+        expected = not validity(scenario.model).is_valid_at(L)
+        assert expected is not above
+        assert total_energy_analytic(scenario).beyond_validity is expected
+        split = total_energy_lifshitz(scenario, mode=Mode.FIRST_ORDER_SPLIT)
+        assert split.beyond_validity is expected
+        _, out, _ = run_cli(
+            capsys, "compute", "--L", repr(L), "--n0", "1", "--n1", repr(n1),
+            "--method", "both", "--mode", "split", "--format", "csv",
+        )
+        flags = [row[-1] for row in csv.reader(io.StringIO(out))][1:]
+        assert flags == ["1" if expected else "0"] * 2
 
 
 class TestValidate:

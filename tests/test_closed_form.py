@@ -11,29 +11,10 @@ from casdisp.closed_form import (
     delta_e_analytic,
     e0_analytic,
     force_analytic,
-    mode_frequency,
     surface_energy,
     total_energy_analytic,
-    vacuum_force,
 )
 from casdisp.dispersion import Cauchy, Constant, Tabulated, UnsupportedModelError
-
-
-class TestModeFrequency:
-    def test_fundamental(self):
-        assert mode_frequency(1, 0.0, 1.0, 1.0) == pytest.approx(math.pi)
-
-    def test_mode_over_length_ratio(self):
-        assert mode_frequency(2, 0.0, 2.0, 1.0) == pytest.approx(math.pi)
-
-    def test_with_transverse_momentum(self):
-        expected = math.pi * math.sqrt(2.0) / 2.0
-        assert mode_frequency(1, math.pi, 1.0, 2.0) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("bad", [0, -1, 1.5])
-    def test_mode_number_must_be_positive_integer(self, bad):
-        with pytest.raises(ValueError):
-            mode_frequency(bad, 0.0, 1.0, 1.0)
 
 
 class TestEnergies:
@@ -131,14 +112,6 @@ class TestTotalEnergy:
 
 
 class TestForces:
-    def test_vacuum_reference_values(self):
-        assert vacuum_force(1.0) == pytest.approx(-math.pi**2 / 240.0)
-        assert vacuum_force(2.0) == pytest.approx(-0.0025702, rel=1e-5)
-
-    def test_vacuum_force_equals_unit_index_force(self):
-        for L in (0.5, 1.0, 2.0):
-            assert vacuum_force(L) == force_analytic(Scenario(L, Cauchy(1.0, 0.0)))
-
     def test_reference_values(self):
         assert force_analytic(Scenario(1.0, Cauchy(1.0, 0.0))) == pytest.approx(
             -math.pi**2 / 240.0

@@ -9,7 +9,6 @@ from casdisp.dispersion import (
     Constant,
     Tabulated,
     UnsupportedModelError,
-    index_of_real_frequency,
     kappa_lower,
     load_index_table,
     validity,
@@ -39,32 +38,21 @@ class TestConstruction:
 
 
 class TestIndexOfRealFrequency:
-    def test_quadratic_model(self):
-        assert index_of_real_frequency(Cauchy(1.5, 0.01), 2.0) == pytest.approx(1.54)
-
-    def test_dispersion_free_limits(self):
-        assert index_of_real_frequency(Cauchy(1.7, 0.0), 123.0) == 1.7
-        assert index_of_real_frequency(Constant(2.0), 100.0) == 2.0
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            index_of_real_frequency(Constant(1.0), -1.0)
-
     def test_tabulated_interpolation_hits_samples(self):
         table = Tabulated((0.0, 1.0, 2.0, 5.0), (1.5, 1.4, 1.3, 1.1))
         for x, n in zip(table.xi, table.n):
-            assert index_of_real_frequency(table, x) == pytest.approx(n, abs=1e-14)
+            assert table.index_at(x) == pytest.approx(n, abs=1e-14)
 
     def test_tabulated_flat_extrapolation(self):
         table = Tabulated((1.0, 2.0, 3.0), (1.5, 1.3, 1.2))
-        assert index_of_real_frequency(table, 0.0) == pytest.approx(1.5)
-        assert index_of_real_frequency(table, 50.0) == pytest.approx(1.2)
+        assert table.index_at(0.0) == pytest.approx(1.5)
+        assert table.index_at(50.0) == pytest.approx(1.2)
 
     def test_tabulated_no_overshoot(self):
         # shape-preserving interpolation stays inside the sample range
         table = Tabulated((0.0, 1.0, 1.5, 4.0), (2.0, 1.1, 1.05, 1.0))
         queries = [0.1 * k for k in range(41)]
-        values = [index_of_real_frequency(table, q) for q in queries]
+        values = [table.index_at(q) for q in queries]
         assert min(values) >= 1.0 - 1e-12
         assert max(values) <= 2.0 + 1e-12
 
@@ -99,9 +87,6 @@ class TestKappaLower:
     @given(n0=st.floats(min_value=0.5, max_value=4.0), xi=finite_xi)
     def test_constant_equals_dispersion_free_quadratic_bitwise(self, n0, xi):
         assert kappa_lower(Constant(n0), xi) == kappa_lower(Cauchy(n0, 0.0), xi)
-        assert index_of_real_frequency(Constant(n0), xi) == index_of_real_frequency(
-            Cauchy(n0, 0.0), xi
-        )
 
     @given(n0=st.floats(min_value=0.5, max_value=4.0), xi=finite_xi)
     def test_dispersion_free_is_linear(self, n0, xi):

@@ -8,7 +8,13 @@ from casdisp.closed_form import (
     delta_e_analytic,
     e0_analytic,
 )
-from casdisp.dispersion import Cauchy, Constant, Tabulated, UnsupportedModelError
+from casdisp.dispersion import (
+    Cauchy,
+    Constant,
+    Tabulated,
+    UnsupportedModelError,
+    kappa_lower,
+)
 from casdisp.lifshitz import (
     DEFAULT_QUADRATURE,
     Mode,
@@ -21,7 +27,6 @@ from casdisp.lifshitz import (
     force_lifshitz,
     inner_integral,
     inner_integral_quadrature,
-    integrand_point,
     total_energy_lifshitz,
 )
 from casdisp.special import zeta_value
@@ -81,10 +86,10 @@ class TestInnerIntegral:
             inner_integral(1.0, 0.0)
 
     def test_integrand_point_invariants(self):
-        point = integrand_point(Cauchy(1.5, 1e-3), 1.0, 2.0)
-        assert point.kappa1 >= 0.0
-        assert point.inner_value <= 0.0
-        assert point.xi == 2.0
+        # one sample of the full-kappa_1 outer integrand: xi = 2 at L = 1
+        low = kappa_lower(Cauchy(1.5, 1e-3), 2.0)
+        assert low.value >= 0.0
+        assert inner_integral(low.value, 1.0) <= 0.0
 
 
 class TestLeadingOrder:

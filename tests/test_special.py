@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,8 +26,6 @@ LOG1MEXP_1E8 = -18.420680748952365
 LOG1MEXP_50 = -1.9287498479639178e-22
 
 # Regulated sums at 60 digits, truncated at 1e-40 of the running total.
-# The production truncation (1e-18 of the running sum) leaves a documented
-# tail, largest for p=5 at delta=0.05 where the running sum is ~7.7e9.
 CUTOFF_ORACLE = {
     (3, 0.2): (0.008254245359682236, 1e-12),
     (3, 0.1): (0.008313509414086518, 1e-11),
@@ -160,6 +159,16 @@ class TestCutoffZetaDemo:
         for p, target in ((3, zeta_value(-3)), (5, zeta_value(-5))):
             values = [cutoff_zeta_demo(p, d) for d in (0.2, 0.1, 0.05)]
             assert richardson(values, ratio=4.0) == pytest.approx(target, abs=1e-6)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("delta", [0.01, 0.5])
+    def test_domain_ends_against_polylog(self, p, delta):
+        # sum n^p x^n = Li_{-p}(x), evaluated by mpmath at 60 digits
+        with mpmath.workdps(60):
+            d = mpmath.mpf(delta)
+            divergence = 6 / d**4 if p == 3 else 120 / d**6
+            expected = float(mpmath.polylog(-p, mpmath.exp(-d)) - divergence)
+        assert cutoff_zeta_demo(p, delta) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("p, delta", [(4, 0.1), (2, 0.1), (3, 0.0), (3, 0.6), (5, -0.1)])
     def test_domain_errors(self, p, delta):
