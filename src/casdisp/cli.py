@@ -31,6 +31,7 @@ from .lifshitz import (
     Mode,
     QuadratureError,
     QuadratureSpec,
+    check_step_fraction,
     force_lifshitz,
     total_energy_lifshitz,
 )
@@ -105,7 +106,7 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
     """The flags a config file stands for, so argparse checks them like typed flags."""
-    known = set(vars(args)) - {"command", "handler", "config"}
+    known = set(vars(args)) - {"command", "handler", "parser", "config"}
     entries = _read_config(path)
     unknown = sorted(set(entries) - known)
     if unknown:
@@ -153,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="energy breakdown and force at one point")
     _add_shared_options(compute)
-    compute.set_defaults(handler=_cmd_compute)
+    compute.set_defaults(handler=_cmd_compute, parser=compute)
 
     sweep = sub.add_parser("sweep", help="grid over the separation or the dispersion coefficient")
     _add_shared_options(sweep)
@@ -162,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max", type=float, help="grid end")
     sweep.add_argument("--points", type=int, help="number of grid points (>= 2)")
     sweep.add_argument("--scale", choices=("linear", "log"), default="linear", help="grid spacing (default %(default)s)")
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.set_defaults(handler=_cmd_sweep, parser=sweep)
 
     validate = sub.add_parser("validate", help="run the cross-validation battery")
     validate.add_argument(
@@ -175,24 +176,24 @@ def _build_parser() -> argparse.ArgumentParser:
             "intrinsic thresholds"
         ),
     )
-    validate.set_defaults(handler=_cmd_validate)
+    validate.set_defaults(handler=_cmd_validate, parser=validate)
     return parser
 
 
-def _require(parser: argparse.ArgumentParser, args: argparse.Namespace, *keys: str) -> None:
+def _require(args: argparse.Namespace, *keys: str) -> None:
     # not argparse's required=True: a config file may supply these
     for key in keys:
         if getattr(args, key) is None:
-            parser.error(f"--{key} is required")
+            args.parser.error(f"--{key} is required")
 
 
-def _build_model(args: argparse.Namespace, parser: argparse.ArgumentParser):
+def _build_model(args: argparse.Namespace):
     if args.ns_table is not None:
         if args.n0 is not None or args.n1 is not None:
-            parser.error("--ns-table and --n0/--n1 are mutually exclusive")
+            args.parser.error("--ns-table and --n0/--n1 are mutually exclusive")
         return load_index_table(args.ns_table)
     if args.n0 is None:
-        parser.error("one of --n0 or --ns-table is required")
+        args.parser.error("one of --n0 or --ns-table is required")
     if args.n1 is None:
         return Constant(args.n0)
     return Cauchy(args.n0, args.n1)
@@ -277,6 +278,7 @@ def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, enve
     surface = SurfaceTermSpec(args.cs) if args.cs is not None else None
     quad = QuadratureSpec(rel_tol=args.rel_tol)
     units = UnitSystem(UnitMode.SI, args.length_unit) if args.si else UnitSystem()
+    check_step_fraction(args.h_rel)  # every method, not just the one that steps
     if args.mode is not None:
         mode = Mode(args.mode)
     else:
@@ -312,9 +314,9 @@ def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, enve
     return 0
 
 
-def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    model = _build_model(args, parser)
-    _require(parser, args, "L", "method", "format")
+def _cmd_compute(args: argparse.Namespace) -> int:
+    model = _build_model(args)
+    _require(args, "L", "method", "format")
 
     def envelope(head: dict, rows: list) -> dict:
         return {**head, "results": [record for _, record in rows]}
@@ -325,28 +327,28 @@ def _cmd_compute(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return _run(args, model, "L", [args.L], scenario_at, envelope)
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _require(parser, args, "variable", "min", "max", "points", "method", "format")
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    _require(args, "variable", "min", "max", "points", "method", "format")
     try:
         spec = SweepSpec(args.variable, args.min, args.max, args.points, args.scale)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     if getattr(args, spec.variable) is not None:
-        parser.error(f"--{spec.variable} is the swept variable and cannot also be fixed")
+        args.parser.error(f"--{spec.variable} is the swept variable and cannot also be fixed")
 
     if spec.variable == "n1":
         if args.ns_table is not None:
-            parser.error("cannot sweep n1 against a tabulated model")
+            args.parser.error("cannot sweep n1 against a tabulated model")
         if args.n0 is None:
-            parser.error("--n0 is required when sweeping n1")
+            args.parser.error("--n0 is required when sweeping n1")
         if args.L is None:
-            parser.error("--L is required when sweeping n1")
+            args.parser.error("--L is required when sweeping n1")
         model = Cauchy(args.n0, 0.0)
 
         def scenario_at(n1: float, surface) -> Scenario:
             return Scenario(args.L, Cauchy(args.n0, n1), surface)
     else:
-        model = _build_model(args, parser)
+        model = _build_model(args)
 
         def scenario_at(L: float, surface) -> Scenario:
             return Scenario(L, model, surface)
@@ -358,9 +360,9 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return _run(args, model, spec.variable, spec.grid(), scenario_at, envelope)
 
 
-def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     if not args.tol >= 0.0:
-        parser.error("--tol must be non-negative")
+        args.parser.error("--tol must be non-negative")
     checks = run_validation_checks(tol=args.tol)
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
             # so they pass the same checks and a repeated flag wins
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_argv(args.config, args) + argv[at:])
-        return args.handler(args, parser)
+        return args.handler(args)
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

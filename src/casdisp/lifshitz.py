@@ -14,19 +14,22 @@ powers of e^(-2*kappa*L) and integrating term by term,
 
 which trades a nested quadrature for a single polylogarithm evaluation
 (the raw two-dimensional quadrature survives as a test oracle, see
-``inner_integral_quadrature``).  The outer xi integral decays like
-e^(-2*n0*L*xi) and is truncated where that factor drops below
-``tail_cut``, with the analytic bound on the discarded tail folded into
-the reported error estimate.
+``inner_integral_quadrature``).  As I(kappa_1, L) = I(kappa_1*L, 1)/L^2,
+every route integrates I(kappa_1*L, 1) over u = n*L*xi (n = n0, or the
+smallest tabulated index) and divides by 2*pi^2*n*L^3.  The integrand
+decays like e^(-2u); the window [0, u_max] is fixed by
+e^(-2*u_max) = ``tail_cut``, and the analytic bound on the discarded tail,
+a function of u_max alone, is added to the error estimate.
 
-Two evaluation modes: FIRST_ORDER_SPLIT uses kappa_0 = n0*xi and the
-first-order dispersive correction (n1*n0 / 2*pi^2) * int xi^4
-log(1 - e^(-2*n0*xi*L)) dxi, matching the closed forms; FULL_KAPPA1 keeps
-the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit.  The full mode
-exceeds the first-order treatment: past the turnover of kappa_1 the model
-is out of its domain (and the untruncated integral would diverge), so the
-evaluation is defined on the truncation window and any clamping of
-kappa_1 raises the beyond-validity flag on the result.
+FIRST_ORDER_SPLIT uses kappa_0 = n0*xi plus the first-order dispersive
+correction, matching the closed forms: c0/(2*pi^2*n0*L^3) and
+n1*c1/(2*pi^2*n0^4*L^5), with the pure numbers c0 = int I(u, 1) du and
+c1 = int u^4 log(1 - e^(-2u)) du integrated once per ``QuadratureSpec``,
+so the error estimates are relative at every separation.  FULL_KAPPA1
+keeps the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit.  Past the
+turnover of kappa_1 the model is out of its domain (and the untruncated
+integral would diverge), so the evaluation is defined on the truncation
+window and any clamping of kappa_1 raises the beyond-validity flag.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from typing import Callable, NamedTuple
 
 from scipy.integrate import quad as _quadpack
@@ -61,6 +65,7 @@ __all__ = [
     "delta_e_lifshitz_full",
     "total_energy_lifshitz",
     "force_lifshitz",
+    "check_step_fraction",
 ]
 
 _TWO_PI_SQ = 2.0 * math.pi**2
@@ -72,11 +77,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy for the outer integral.
+    """Tolerances and truncation policy for the dimensionless outer integral.
 
-    ``tail_cut`` fixes the truncation point xi_max through
-    e^(-2*L*n0*xi_max) = tail_cut; the analytic bound on the remainder is
-    added to the reported error estimate.
+    ``tail_cut`` fixes the window [0, u_max] in u = n*L*xi through
+    e^(-2*u_max) = tail_cut; the analytic bound on the remainder is added
+    to the reported error estimate.  ``rel_tol`` and ``abs_tol`` apply to
+    the integral over u, before it is scaled to an energy.
     """
 
     rel_tol: float = 1e-10
@@ -95,6 +101,10 @@ class QuadratureSpec:
             )
         if not 0.0 < self.tail_cut < 1.0:
             raise ValueError(f"tail cut must lie in (0, 1), got {self.tail_cut}")
+
+    @property
+    def u_max(self) -> float:
+        return -0.5 * math.log(self.tail_cut)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -175,61 +185,58 @@ def _integrate(
         raise QuadratureError(f"quadrature rejected the request: {exc}") from exc
     if len(result) > 3:
         raise QuadratureError(str(result[3]).replace("\n", " ").strip())
-    value, abserr = result[0], result[1]
-    return value, abserr
+    return result[0], result[1]
 
 
-def _index_floor(model: DispersionModel) -> float:
-    if isinstance(model, Tabulated):
-        return min(model.n)
-    return model.n0
-
-
-def _xi_cutoff(L: float, n_floor: float, tail_cut: float) -> float:
-    return -math.log(tail_cut) / (2.0 * L * n_floor)
-
-
-def _e0_tail_bound(L: float, n0: float, xi_max: float) -> float:
-    # |I(n0*xi, L)| <= e^(-2*n0*L*xi) * (n0*xi*zeta(2)/(2L) + zeta(3)/(4L^2)),
-    # integrated in closed form over [xi_max, inf); units of the raw integral
-    a = 2.0 * n0 * L
-    damp = math.exp(-a * xi_max)
-    return damp * (
-        (n0 * ZETA_VALUES[2] / (2.0 * L)) * (xi_max / a + 1.0 / a**2)
-        + ZETA_VALUES[3] / (4.0 * L * L * a)
+def _e0_tail_bound(u_max: float) -> float:
+    # |I(u, 1)| <= e^(-2u) * (u*zeta(2)/2 + zeta(3)/4), integrated over [u_max, inf)
+    return math.exp(-2.0 * u_max) * (
+        ZETA_VALUES[2] * (u_max / 4.0 + 1.0 / 8.0) + ZETA_VALUES[3] / 8.0
     )
 
 
-def _delta_tail_bound(L: float, n0: float, xi_max: float, tail_cut: float) -> float:
-    # |log(1 - y)| <= y/(1 - tail_cut) for y = e^(-a*xi) <= tail_cut
-    a = 2.0 * n0 * L
-    damp = math.exp(-a * xi_max)
-    poly = (
-        xi_max**4 / a
-        + 4.0 * xi_max**3 / a**2
-        + 12.0 * xi_max**2 / a**3
-        + 24.0 * xi_max / a**4
-        + 24.0 / a**5
-    )
-    return damp * poly / (1.0 - tail_cut)
+def _delta_tail_bound(u_max: float) -> float:
+    # |log(1 - y)| <= y/(1 - e^(-2*u_max)) on the tail y = e^(-2u) <= e^(-2*u_max)
+    damp = math.exp(-2.0 * u_max)
+    poly = u_max**4 / 2.0 + u_max**3 + 1.5 * u_max**2 + 1.5 * u_max + 0.75
+    return damp * poly / (1.0 - damp)
+
+
+@cache
+def _e0_number(quad: QuadratureSpec) -> Estimate:
+    # c0 = int_0^inf I(u, 1) du
+    raw, err = _integrate(lambda u: inner_integral(u, 1.0), 0.0, quad.u_max, quad)
+    return Estimate(raw, err + _e0_tail_bound(quad.u_max))
+
+
+@cache
+def _delta_number(quad: QuadratureSpec) -> Estimate:
+    # c1 = int_0^inf u^4 log(1 - e^(-2u)) du
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        return u**4 * log_one_minus_exp(2.0 * u)
+
+    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
+    return Estimate(raw, err + _delta_tail_bound(quad.u_max))
+
+
+def _scaled(number: Estimate, scale: float) -> Estimate:
+    return Estimate(number.value * scale, number.error * scale)
 
 
 def e0_lifshitz(
     L: float, n0: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> Estimate:
-    """Dispersion-free energy per area by outer quadrature over I(n0*xi, L).
+    """Dispersion-free energy per area, c0 / (2*pi^2*n0*L^3).
 
-    Agrees with the closed form -pi^2/(720*n0*L^3) to within the reported
-    error estimate.
+    Agrees with -pi^2/(720*n0*L^3) to within the reported error estimate.
     """
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
     if not n0 > 0.0:
         raise ValueError(f"refractive index must be positive, got {n0}")
-    xi_max = _xi_cutoff(L, n0, quad.tail_cut)
-    raw, err = _integrate(lambda xi: inner_integral(n0 * xi, L), 0.0, xi_max, quad)
-    tail = _e0_tail_bound(L, n0, xi_max)
-    return Estimate(raw / _TWO_PI_SQ, (err + tail) / _TWO_PI_SQ)
+    return _scaled(_e0_number(quad), 1.0 / (_TWO_PI_SQ * n0 * L**3))
 
 
 def delta_e_lifshitz_first_order(
@@ -238,25 +245,15 @@ def delta_e_lifshitz_first_order(
     """First-order dispersive correction per area.
 
     Numeric evaluation of (n1*n0 / 2*pi^2) * int_0^inf xi^4
-    log(1 - e^(-2*n0*xi*L)) dxi; exactly linear in n1 by construction.
+    log(1 - e^(-2*n0*xi*L)) dxi = n1*c1 / (2*pi^2*n0^4*L^5); exactly
+    linear in n1 by construction.
     """
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
     n0, n1 = cauchy_coefficients(model)
     if n1 == 0.0:
         return Estimate(0.0, 0.0)
-    a = 2.0 * n0 * L
-
-    def integrand(xi: float) -> float:
-        if xi <= 0.0:
-            return 0.0
-        return xi**4 * log_one_minus_exp(a * xi)
-
-    xi_max = _xi_cutoff(L, n0, quad.tail_cut)
-    raw, err = _integrate(integrand, 0.0, xi_max, quad)
-    tail = _delta_tail_bound(L, n0, xi_max, quad.tail_cut)
-    scale = n1 * n0 / _TWO_PI_SQ
-    return Estimate(scale * raw, scale * (err + tail))
+    return _scaled(_delta_number(quad), n1 / (_TWO_PI_SQ * n0**4 * L**5))
 
 
 def delta_e_lifshitz_full(
@@ -264,11 +261,10 @@ def delta_e_lifshitz_full(
 ) -> tuple[Estimate, bool]:
     """Dispersive part of the full-kappa_1 energy, all orders in n1.
 
-    Integrates the pointwise difference I(kappa_1(xi), L) - I(n0*xi, L)
-    over the same truncation window as ``e0_lifshitz``, which keeps the
-    small correction free of cancellation against the leading term.
-    Returns the estimate and whether kappa_1 was clamped anywhere in the
-    window.
+    Integrates the pointwise difference I(kappa_1*L, 1) - I(u, 1) over the
+    same window as ``e0_lifshitz``, which keeps the small correction free
+    of cancellation against the leading term.  Returns the estimate and
+    whether kappa_1 was clamped anywhere in the window.
     """
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
@@ -277,28 +273,26 @@ def delta_e_lifshitz_full(
         return Estimate(0.0, 0.0), False
     clamped = False
 
-    def integrand(xi: float) -> float:
+    def integrand(u: float) -> float:
         nonlocal clamped
-        low = kappa_lower(model, xi)
+        low = kappa_lower(model, u / (n0 * L))
         if low.clamped:
             clamped = True
-        return inner_integral(low.value, L) - inner_integral(n0 * xi, L)
+        return inner_integral(low.value * L, 1.0) - inner_integral(u, 1.0)
 
-    xi_max = _xi_cutoff(L, n0, quad.tail_cut)
-    raw, err = _integrate(integrand, 0.0, xi_max, quad)
-    return Estimate(raw / _TWO_PI_SQ, err / _TWO_PI_SQ), clamped
+    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
+    return _scaled(Estimate(raw, err), 1.0 / (_TWO_PI_SQ * n0 * L**3)), clamped
 
 
-def _tabulated_full(
-    L: float, model: Tabulated, quad: QuadratureSpec
-) -> Estimate:
-    xi_max = _xi_cutoff(L, _index_floor(model), quad.tail_cut)
-    raw, err = _integrate(
-        lambda xi: inner_integral(kappa_lower(model, xi).value, L), 0.0, xi_max, quad
-    )
-    n_floor = _index_floor(model)
-    tail = _e0_tail_bound(L, n_floor, xi_max)
-    return Estimate(raw / _TWO_PI_SQ, (err + tail) / _TWO_PI_SQ)
+def _tabulated_full(L: float, model: Tabulated, quad: QuadratureSpec) -> Estimate:
+    n = min(model.n)
+
+    def integrand(u: float) -> float:
+        return inner_integral(kappa_lower(model, u / (n * L)).value * L, 1.0)
+
+    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
+    tail = _e0_tail_bound(quad.u_max)
+    return _scaled(Estimate(raw, err + tail), 1.0 / (_TWO_PI_SQ * n * L**3))
 
 
 def total_energy_lifshitz(
@@ -344,6 +338,12 @@ def total_energy_lifshitz(
     )
 
 
+def check_step_fraction(h_rel: float) -> None:
+    """Reject a force step fraction outside [1e-7, 1e-2]."""
+    if not 1e-7 <= h_rel <= 1e-2:
+        raise ValueError(f"step fraction must lie in [1e-7, 1e-2], got {h_rel}")
+
+
 def force_lifshitz(
     scenario: Scenario,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -352,12 +352,11 @@ def force_lifshitz(
 ) -> Estimate:
     """Force per area as a central difference of the quadrature energy.
 
-    -[E(L*(1+h)) - E(L*(1-h))] / (2*L*h) with 1e-7 <= h_rel <= 1e-2; the
-    reported error combines propagated quadrature errors with an O(h^2)
-    truncation allowance.
+    -[E(L*(1+h)) - E(L*(1-h))] / (2*L*h), h_rel as ``check_step_fraction``
+    allows; the reported error combines propagated quadrature errors with
+    an O(h^2) truncation allowance.
     """
-    if not 1e-7 <= h_rel <= 1e-2:
-        raise ValueError(f"step fraction must lie in [1e-7, 1e-2], got {h_rel}")
+    check_step_fraction(h_rel)
     L = scenario.L
     up = total_energy_lifshitz(replace(scenario, L=L * (1.0 + h_rel)), quad, mode)
     down = total_energy_lifshitz(replace(scenario, L=L * (1.0 - h_rel)), quad, mode)

@@ -6,8 +6,8 @@ of ``u`` meters, an energy per area E (dimension length^-3) becomes
 E * hbar*c / u^3 in J/m^2, and a force per area F (length^-4) becomes
 F * hbar*c / u^4 in Pa.
 
-hbar*c = 3.161526773e-26 J m to ten significant figures (CODATA values via
-scipy.constants: hbar = h/2pi with h exact, c exact).
+hbar*c = 3.161526773e-26 J m to ten significant figures (CODATA 2018, h and
+c exact); the literal is the double that scipy.constants' hbar * c gives.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import hbar as _HBAR
-
 __all__ = ["HBAR_C_JOULE_METER", "UnitMode", "UnitSystem", "convert_units"]
 
-HBAR_C_JOULE_METER = _HBAR * _SPEED_OF_LIGHT
+HBAR_C_JOULE_METER = 3.1615267734966903e-26
 
 
 class UnitMode(Enum):

@@ -316,6 +316,54 @@ class TestSweep:
         assert payload["rows"][0]["L"] == 1.0
 
 
+class TestHandlerErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["compute", "--n0", "1", "--method", "analytic", "--format", "json"],
+                "casdisp compute: error: --L is required",
+            ),
+            (
+                ["sweep", "--variable", "L", "--min", "1", "--max", "2", "--points", "3",
+                 "--n0", "1", "--L", "7", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: --L is the swept variable",
+            ),
+            (
+                ["compute", "--L", "1", "--ns-table", "n.csv", "--n0", "1",
+                 "--method", "lifshitz", "--format", "csv"],
+                "casdisp compute: error: --ns-table and --n0/--n1 are mutually exclusive",
+            ),
+        ],
+    )
+    def test_subcommand_usage(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: casdisp {argv[0]} ")
+        assert message in err
+
+    def test_parser_is_not_a_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 1\nn0 = 1\nmethod = analytic\nformat = csv\nparser = x\n")
+        code, out, err = run_cli(capsys, "compute", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys: parser" in err
+
+    @pytest.mark.parametrize("method", ["analytic", "lifshitz", "both"])
+    def test_step_fraction_checked_on_every_route(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "compute", "--L", "1", "--n0", "1", "--method", method,
+            "--format", "csv", "--h-rel", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "step fraction must lie in [1e-7, 1e-2]" in err
+
+
 class TestTrustRegionRule:
     @pytest.mark.parametrize("n1", [1e-4, 1e-2, 0.25])
     @pytest.mark.parametrize("above", [False, True])

@@ -1,12 +1,17 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from casdisp import lifshitz
+from casdisp.cli import main
 from casdisp.closed_form import (
     Scenario,
     SurfaceTermSpec,
     delta_e_analytic,
     e0_analytic,
+    total_energy_analytic,
 )
 from casdisp.dispersion import (
     Cauchy,
@@ -201,6 +206,49 @@ class TestTotalEnergy:
                 scenario, QuadratureSpec(rel_tol=DEFAULT_QUADRATURE.rel_tol / 2.0)
             )
             assert abs(fine.total - coarse.total) <= coarse.error_estimate
+
+
+class TestScaleFreeSplit:
+    @given(
+        L_exp=st.floats(min_value=-6.0, max_value=6.0),
+        n0=st.floats(min_value=1.0, max_value=3.0),
+        trust=st.floats(min_value=0.0, max_value=0.99),
+    )
+    @example(L_exp=6.0, n0=1.0, trust=0.5)
+    def test_estimate_bounds_error_at_every_separation(self, L_exp, n0, trust):
+        # n1 = trust * (L/2pi)^2 keeps L > 2*pi*sqrt(n1)
+        L = 10.0**L_exp
+        scenario = Scenario(L, Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2))
+        closed = total_energy_analytic(scenario).total
+        quad = total_energy_lifshitz(scenario, mode=Mode.FIRST_ORDER_SPLIT)
+        assert abs(quad.total - closed) <= quad.error_estimate <= 1e-9 * abs(closed)
+
+    @pytest.mark.parametrize("L", [1e-3, 1.0, 1e4])
+    def test_tail_cut_moves_total_within_estimates(self, L):
+        scenario = Scenario(L, Cauchy(1.5, 1e-3 * L * L))
+        tight = total_energy_lifshitz(scenario, QuadratureSpec(tail_cut=1e-16))
+        loose = total_energy_lifshitz(scenario, QuadratureSpec(tail_cut=1e-12))
+        assert abs(tight.total - loose.total) <= tight.error_estimate + loose.error_estimate
+
+    def test_split_sweep_integrates_once(self, capsys, monkeypatch):
+        calls = []
+        quadpack = lifshitz._quadpack
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quadpack(*args, **kwargs)
+
+        lifshitz._e0_number.cache_clear()
+        lifshitz._delta_number.cache_clear()
+        monkeypatch.setattr(lifshitz, "_quadpack", counting)
+        code = main([
+            "sweep", "--variable", "L", "--min", "0.5", "--max", "1e4",
+            "--points", "200", "--scale", "log", "--n0", "1.5", "--n1", "1e-4",
+            "--method", "lifshitz", "--mode", "split", "--format", "csv",
+        ])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 201
+        assert len(calls) <= 2
 
 
 class TestForce:

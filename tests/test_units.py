@@ -5,6 +5,12 @@ import pytest
 from casdisp.units import HBAR_C_JOULE_METER, UnitMode, UnitSystem, convert_units
 
 
+def test_hbar_c_literal_is_the_scipy_product():
+    from scipy.constants import c, hbar
+
+    assert HBAR_C_JOULE_METER == hbar * c
+
+
 def test_hbar_c_documented_value():
     # 3.161526773e-26 J m to ten significant figures
     assert HBAR_C_JOULE_METER == pytest.approx(3.161526773e-26, rel=1e-9)
