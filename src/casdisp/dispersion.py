@@ -98,9 +98,11 @@ class Tabulated:
     def _interpolator(self) -> PchipInterpolator:
         return PchipInterpolator(np.asarray(self.xi), np.asarray(self.n))
 
-    def index_at(self, xi: float) -> float:
-        clipped = min(max(xi, self.xi[0]), self.xi[-1])
-        return float(self._interpolator(clipped))
+    def index_at(self, xi):
+        """n(i*xi) at a scalar (giving a float) or an array of frequencies."""
+        clipped = np.clip(xi, self.xi[0], self.xi[-1])
+        value = self._interpolator(clipped)
+        return float(value) if np.ndim(xi) == 0 else value
 
 
 DispersionModel = Union[Constant, Cauchy, Tabulated]
@@ -130,14 +132,16 @@ class ValidityReport:
         return separation > self.min_separation
 
 
-def kappa_lower(model: DispersionModel, xi: float) -> LowerLimit:
+def kappa_lower(model: DispersionModel, xi) -> LowerLimit:
     """Lower limit n(i*xi)*xi of the momentum integration at imaginary frequency xi.
 
     For the quadratic model this is n0*xi - n1*xi^3, clamped below at zero;
     ``clamped`` is set whenever the raw value went negative, i.e. the model
-    was evaluated beyond its turnover.
+    was evaluated beyond its turnover.  ``xi`` may be a scalar, which gives
+    floats, or an array, which gives arrays and sets ``clamped`` when any
+    element was clamped.
     """
-    if not xi >= 0.0:
+    if not np.all(np.asarray(xi) >= 0.0):
         raise ValueError(f"imaginary frequency must be non-negative, got {xi}")
     if isinstance(model, Constant):
         value = model.n0 * xi
@@ -145,9 +149,11 @@ def kappa_lower(model: DispersionModel, xi: float) -> LowerLimit:
     if isinstance(model, Cauchy):
         # left-assoc product keeps n1 = 0 exact even for huge xi
         raw = model.n0 * xi - model.n1 * xi * xi * xi
-        if raw < 0.0:
-            return LowerLimit(0.0, raw, True)
-        return LowerLimit(raw, raw, False)
+        below = raw < 0.0
+        value = np.where(below, 0.0, raw)
+        if np.ndim(xi) == 0:
+            value = float(value)
+        return LowerLimit(value, raw, bool(np.any(below)))
     value = model.index_at(xi) * xi
     return LowerLimit(value, value, False)
 

@@ -30,6 +30,12 @@ keeps the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit.  Past the
 turnover of kappa_1 the model is out of its domain (and the untruncated
 integral would diverge), so the evaluation is defined on the truncation
 window and any clamping of kappa_1 raises the beyond-validity flag.
+
+Every outer integral goes through one node rule: tanh-sinh quadrature
+(Takahashi & Mori 1974) on panels that break wherever the integrand is not
+smooth (the kappa_1 turnover, the knots of a table), with the nodes of all
+panels evaluated as one array per refinement level.  QUADPACK only backs
+the independent oracle ``inner_integral_quadrature``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
 
+import numpy as np
 from scipy.integrate import quad as _quadpack
 
 from .closed_form import EnergyBreakdown, Method, Scenario, surface_energy
@@ -72,7 +79,7 @@ _TWO_PI_SQ = 2.0 * math.pi**2
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """The node rule could not reach the requested tolerance within its budget."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,12 @@ class QuadratureSpec:
     ``tail_cut`` fixes the window [0, u_max] in u = n*L*xi through
     e^(-2*u_max) = tail_cut; the analytic bound on the remainder is added
     to the reported error estimate.  ``rel_tol`` and ``abs_tol`` apply to
-    the integral over u, before it is scaled to an energy.
+    the integral over u, before it is scaled to an energy: the node rule
+    stops once halving its step changes the integral by at most
+    max(abs_tol, rel_tol*|integral|).  ``max_subdivisions`` bounds that
+    refinement: the step never drops below 1/max_subdivisions (2^-7 at the
+    default 200), and an integral not settled by then raises
+    QuadratureError.
     """
 
     rel_tol: float = 1e-10
@@ -122,18 +134,19 @@ class Estimate(NamedTuple):
     error: float
 
 
-def inner_integral(kappa1: float, L: float) -> float:
+def inner_integral(kappa1, L: float):
     """I(kappa_1, L) = int_{kappa_1}^inf kappa*log(1 - e^(-2*kappa*L)) dkappa.
 
     Evaluated through the polylogarithm closed form.  I(0, L) is finite,
-    -zeta(3)/(4*L^2), and the value vanishes as kappa_1 -> inf.
+    -zeta(3)/(4*L^2), and the value vanishes as kappa_1 -> inf.  ``kappa1``
+    may be a scalar, which gives a float, or an array of lower limits.
     """
-    if not kappa1 >= 0.0:
+    if not np.all(np.asarray(kappa1) >= 0.0):
         raise ValueError(f"lower limit must be >= 0, got {kappa1}")
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
     w = 2.0 * kappa1 * L
-    term2 = -(kappa1 / (2.0 * L)) * polylog_exp_neg(2, w) if kappa1 > 0.0 else 0.0
+    term2 = -(kappa1 / (2.0 * L)) * polylog_exp_neg(2, w)
     term3 = -polylog_exp_neg(3, w) / (4.0 * L * L)
     return term2 + term3
 
@@ -165,27 +178,88 @@ def inner_integral_quadrature(
     return value
 
 
+# Tanh-sinh rule (Takahashi & Mori 1974).  On a panel [a, b] of half-width
+# d, the step t maps to the nodes a + d*e(t) and b - d*e(t), with
+# e(t) = 1 - tanh(pi/2*sinh t) written so that it keeps its digits near the
+# ends, and weight d*(pi/2)*cosh(t)*(1 - tanh^2(pi/2*sinh t)).  By
+# t = 3.25 the weights are down to about 1e-16 of the panel width and the
+# nodes press against the ends, so the steps stop there.  The first pass takes
+# every step k/2^j at once, for the finest j >= 3 that keeps it within
+# 512 nodes (below that a pass costs about the same whatever its size);
+# each later pass halves the step and adds the odd multiples only.
+_T_MAX = 3.25
+_FIRST_LEVEL = 3
+_FIRST_PASS_NODES = 512
+# Reported on top of the level difference: the rounding of a sum of
+# thousands of integrand values, as a share of the integral of |f|.
+_ROUNDING = 1e-15
+
+
+@cache
+def _steps(level: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
+    # (e(t), weight/d) at t = k*2^-level: every k >= 0 on the first pass,
+    # odd k after it.  The t = 0 node appears from both ends, so it carries
+    # half its weight each time.
+    h = 2.0**-level
+    k = np.arange(int(_T_MAX / h) + 1)
+    if not first:
+        k = k[1::2]
+    t = k * h
+    offset = 2.0 / (np.exp(math.pi * np.sinh(t)) + 1.0)
+    weight = h * (0.5 * math.pi) * np.cosh(t) * offset * (2.0 - offset)
+    if first:
+        weight[0] *= 0.5
+    return offset, weight
+
+
 def _integrate(
-    integrand: Callable[[float], float], lo: float, hi: float, spec: QuadratureSpec
-) -> tuple[float, float]:
-    # QUADPACK QAGS behind the QuadratureSpec contract; failure to converge
-    # within the subdivision budget surfaces as QuadratureError, never as a
-    # warning on a half-trusted number.
-    try:
-        result = _quadpack(
-            integrand,
-            lo,
-            hi,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            full_output=1,
-        )
-    except ValueError as exc:
-        raise QuadratureError(f"quadrature rejected the request: {exc}") from exc
-    if len(result) > 3:
-        raise QuadratureError(str(result[3]).replace("\n", " ").strip())
-    return result[0], result[1]
+    integrand: Callable[[np.ndarray], np.ndarray],
+    breaks,
+    spec: QuadratureSpec,
+) -> Estimate:
+    # One node rule behind every outer integral: tanh-sinh on each panel
+    # between consecutive breakpoints (where the integrand may be
+    # non-smooth), all panels' nodes of a level in one array, so the
+    # integrand runs once per level.  The estimate is the change from the
+    # previous level, plus a rounding floor; the rule stops once that
+    # change is at most max(abs_tol, rel_tol*|value|), and raises
+    # QuadratureError when the step would drop below 1/max_subdivisions.
+    edges = np.asarray(breaks, dtype=float)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    level, first = _FIRST_LEVEL, True
+    while (
+        2 ** (level + 1) <= spec.max_subdivisions
+        and 2 * len(half) * _steps(level + 1, True)[0].size <= _FIRST_PASS_NODES
+    ):
+        level += 1
+    while True:
+        offset, weight = _steps(level, first)
+        # (end, panel, step): nodes from the left and from the right end
+        nodes = np.stack((lo + half * offset, hi - half * offset))
+        values = integrand(nodes.ravel()).reshape(nodes.shape)
+        if not np.all(np.isfinite(values)):
+            raise QuadratureError("integrand is not finite at a quadrature node")
+        # plain numpy sums: a BLAS dot may wake threads for long vectors
+        terms = half * weight * values
+        part, part_mass = terms.sum(), np.abs(terms).sum()
+        if first:
+            # the even steps are the previous level's, at twice the weight
+            previous = 2.0 * terms[..., ::2].sum()
+            value, mass = part, part_mass
+        else:
+            previous = value
+            value, mass = 0.5 * value + part, 0.5 * mass + part_mass
+        change = abs(value - previous)
+        if change <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+            return Estimate(float(value), float(change + _ROUNDING * mass))
+        level, first = level + 1, False
+        if 2**level > spec.max_subdivisions:
+            raise QuadratureError(
+                f"node rule did not converge at step 2^-{level - 1} "
+                f"(max_subdivisions {spec.max_subdivisions}): "
+                f"last change {change:.3g}"
+            )
 
 
 def _e0_tail_bound(u_max: float) -> float:
@@ -205,20 +279,18 @@ def _delta_tail_bound(u_max: float) -> float:
 @cache
 def _e0_number(quad: QuadratureSpec) -> Estimate:
     # c0 = int_0^inf I(u, 1) du
-    raw, err = _integrate(lambda u: inner_integral(u, 1.0), 0.0, quad.u_max, quad)
-    return Estimate(raw, err + _e0_tail_bound(quad.u_max))
+    raw = _integrate(lambda u: inner_integral(u, 1.0), (0.0, quad.u_max), quad)
+    return Estimate(raw.value, raw.error + _e0_tail_bound(quad.u_max))
 
 
 @cache
 def _delta_number(quad: QuadratureSpec) -> Estimate:
-    # c1 = int_0^inf u^4 log(1 - e^(-2u)) du
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
+    # c1 = int_0^inf u^4 log(1 - e^(-2u)) du; every node lies inside (0, u_max]
+    def integrand(u: np.ndarray) -> np.ndarray:
         return u**4 * log_one_minus_exp(2.0 * u)
 
-    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
-    return Estimate(raw, err + _delta_tail_bound(quad.u_max))
+    raw = _integrate(integrand, (0.0, quad.u_max), quad)
+    return Estimate(raw.value, raw.error + _delta_tail_bound(quad.u_max))
 
 
 def _scaled(number: Estimate, scale: float) -> Estimate:
@@ -273,26 +345,37 @@ def delta_e_lifshitz_full(
         return Estimate(0.0, 0.0), False
     clamped = False
 
-    def integrand(u: float) -> float:
+    def integrand(u: np.ndarray) -> np.ndarray:
         nonlocal clamped
         low = kappa_lower(model, u / (n0 * L))
-        if low.clamped:
-            clamped = True
-        return inner_integral(low.value * L, 1.0) - inner_integral(u, 1.0)
+        clamped = clamped or low.clamped
+        # one polylogarithm pass over both lower limits
+        both = inner_integral(np.concatenate((low.value * L, u)), 1.0)
+        return both[: u.size] - both[u.size :]
 
-    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
-    return _scaled(Estimate(raw, err), 1.0 / (_TWO_PI_SQ * n0 * L**3)), clamped
+    # kappa_1 reaches zero at u_c = n0*L*sqrt(n0/n1) and is clamped past it
+    turnover = n0 * L * math.sqrt(n0 / n1)
+    breaks = (0.0, turnover, quad.u_max) if turnover < quad.u_max else (0.0, quad.u_max)
+    raw = _integrate(integrand, breaks, quad)
+    # the difference rounds on the scale of I(u, 1), whose integral is c0,
+    # not on its own
+    rounding = _ROUNDING * abs(_e0_number(quad).value)
+    estimate = Estimate(raw.value, raw.error + rounding)
+    return _scaled(estimate, 1.0 / (_TWO_PI_SQ * n0 * L**3)), clamped
 
 
 def _tabulated_full(L: float, model: Tabulated, quad: QuadratureSpec) -> Estimate:
     n = min(model.n)
 
-    def integrand(u: float) -> float:
+    def integrand(u: np.ndarray) -> np.ndarray:
         return inner_integral(kappa_lower(model, u / (n * L)).value * L, 1.0)
 
-    raw, err = _integrate(integrand, 0.0, quad.u_max, quad)
-    tail = _e0_tail_bound(quad.u_max)
-    return _scaled(Estimate(raw, err + tail), 1.0 / (_TWO_PI_SQ * n * L**3))
+    # the interpolant is only C^1 at its knots and flat past the table ends
+    u_max = quad.u_max
+    knots = [u for u in (n * L * xi for xi in model.xi) if 0.0 < u < u_max]
+    raw = _integrate(integrand, (0.0, *knots, u_max), quad)
+    tail = _e0_tail_bound(u_max)
+    return _scaled(Estimate(raw.value, raw.error + tail), 1.0 / (_TWO_PI_SQ * n * L**3))
 
 
 def total_energy_lifshitz(

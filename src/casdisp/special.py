@@ -5,10 +5,12 @@ a cancellation-free log(1 - e^-x), an exponentially regulated power-sum
 demonstrator, and Richardson extrapolation.
 
 The polylogarithms switch between two independent evaluation strategies:
-the defining series for x <= 1/2, and an expansion in w = -ln(x) near the
+the defining series for x <= 1/e, and an expansion in w = -ln(x) near the
 unit argument, where the series converges too slowly.  Downstream
 integrands reach arguments e^(-2*kappa*L) that approach 1 exactly where
 accuracy matters most, so the near-unit branch carries the load there.
+Both strategies, and log(1 - e^-x), take numpy arrays as well as scalars,
+so an integrand evaluates all its quadrature nodes in one call.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 
 __all__ = [
     "ZETA_VALUES",
@@ -82,6 +85,12 @@ _ZETA_NONPOS = (
 )
 
 _SERIES_CAP = 1_000_000
+# Terms of the defining series are summed until x^n falls below this share
+# of the leading term x.
+_SERIES_EPS = 1e-17
+# Li_s(e^-w) uses the expansion about the unit argument for 0 < w < 1 and
+# the defining series (at most 40 terms) from there on.
+_NEAR_UNIT_BELOW = 1.0
 
 
 def zeta_value(k: int) -> float:
@@ -92,60 +101,72 @@ def zeta_value(k: int) -> float:
         raise ValueError(f"no tabulated zeta value at argument {k}") from None
 
 
-def _polylog_series(s: int, x: float) -> float:
-    # Defining sum; terms stop contributing once below 1e-15 of the partial sum.
-    total = 0.0
-    power = 1.0
-    for n in range(1, _SERIES_CAP + 1):
-        power *= x
-        term = power / n**s
-        total += term
-        if abs(term) <= 1e-15 * total:
-            break
-    return total
+def _near_unit_coefficients(s: int) -> tuple[float, tuple[float, ...]]:
+    # c_k = zeta(s-k)/k! of the (-w)^k terms from k = s on.  Past k = s only
+    # odd k - s contribute (zeta vanishes at negative even integers), so the
+    # sum is c_s*(-w)^s + (-w)^(s+1) * P(w^2).  P's coefficients stop once
+    # below 1e-20, their size at w = 1, and come highest power first, as
+    # numpy.polyval takes them.
+    c = [_ZETA_NONPOS[k - s] / math.factorial(k) for k in range(s, s + len(_ZETA_NONPOS))]
+    return c[0], tuple(reversed([v for v in c[1::2] if abs(v) >= 1e-20]))
 
 
-def _polylog_near_unit(s: int, w: float) -> float:
+_NEAR_UNIT = {s: _near_unit_coefficients(s) for s in (2, 3)}
+
+
+def _scalar_or_array(arg, out):
+    # a scalar argument gets a float back, an array argument an array
+    return float(out) if np.ndim(arg) == 0 else out
+
+
+def _polylog_series(s: int, x):
+    # Defining sum at a scalar or an array of x in [0, 1), by Horner's rule
+    # with as many terms as the largest x needs
+    x = np.asarray(x, dtype=float)
+    top = float(x.max(initial=0.0))
+    terms = 1 if top == 0.0 else math.ceil(math.log(_SERIES_EPS) / math.log(top))
+    total = np.zeros_like(x)
+    for n in range(min(max(terms, 1), _SERIES_CAP), 0, -1):
+        total = (total + 1.0 / n**s) * x
+    return _scalar_or_array(x, total)
+
+
+def _polylog_near_unit(s: int, w):
     # Li_s(e^-w) expanded in powers of w (convergent for 0 < w < 2*pi).
     # The k = s-1 term carries the log; the remaining coefficients are
     # zeta values at non-positive integers (Bernoulli numbers in disguise).
-    lg = math.log(w)
+    w = np.asarray(w, dtype=float)
+    lg = np.log(w)
     if s == 2:
         total = ZETA_VALUES[2] - w * (1.0 - lg)
-        k_start = 2
     else:
         total = ZETA_VALUES[3] - ZETA_VALUES[2] * w + 0.5 * w * w * (1.5 - lg)
-        k_start = 3
-    power = (-w) ** k_start
-    factorial = float(math.factorial(k_start))
-    for k in range(k_start, s + len(_ZETA_NONPOS)):
-        coeff = _ZETA_NONPOS[k - s]
-        if coeff != 0.0:
-            term = coeff * power / factorial
-            total += term
-            if abs(term) < 1e-17 * abs(total):
-                break
-        power *= -w
-        factorial *= k + 1
-    return total
+    first, odd = _NEAR_UNIT[s]
+    square = w * w
+    power = square if s == 2 else -square * w  # (-w)^s
+    total = total + power * (first - w * np.polyval(odd, square))
+    return _scalar_or_array(w, total)
 
 
-def polylog_exp_neg(s: int, w: float) -> float:
+def polylog_exp_neg(s: int, w):
     """Li_s(e^-w) for w >= 0 and s in {2, 3}, without the exp/log round trip.
 
     Preferred entry point when the argument is naturally an exponential,
     e.g. e^(-2*kappa*L): passing w directly keeps full precision for small w,
-    where x = e^-w collapses onto 1.
+    where x = e^-w collapses onto 1.  ``w`` may be a scalar, which gives a
+    float, or an array, which gives an array of the same shape.
     """
     if s not in (2, 3):
         raise ValueError(f"polylogarithm order {s} not supported (need 2 or 3)")
-    if w < 0.0 or math.isnan(w):
+    arr = np.asarray(w, dtype=float)
+    if not np.all(arr >= 0.0):
         raise ValueError(f"exponent must be non-negative, got {w}")
-    if w == 0.0:
-        return ZETA_VALUES[s]
-    if w < _LN2:
-        return _polylog_near_unit(s, w)
-    return _polylog_series(s, math.exp(-w))
+    out = np.full_like(arr, ZETA_VALUES[s])
+    near = (arr > 0.0) & (arr < _NEAR_UNIT_BELOW)
+    far = arr >= _NEAR_UNIT_BELOW
+    out[near] = _polylog_near_unit(s, arr[near])
+    out[far] = _polylog_series(s, np.exp(-arr[far]))
+    return _scalar_or_array(w, out)
 
 
 def polylog(s: int, x: float) -> float:
@@ -162,18 +183,25 @@ def polylog(s: int, x: float) -> float:
         return 0.0
     if x == 1.0:
         return ZETA_VALUES[s]
-    if x <= 0.5:
+    w = -math.log(x)
+    if w >= _NEAR_UNIT_BELOW:
         return _polylog_series(s, x)
-    return _polylog_near_unit(s, -math.log(x))
+    return _polylog_near_unit(s, w)
 
 
-def log_one_minus_exp(x: float) -> float:
-    """log(1 - e^-x) for x > 0, accurate in both the x -> 0 and x -> inf limits."""
-    if not x > 0.0:
+def log_one_minus_exp(x):
+    """log(1 - e^-x) for x > 0, accurate in both the x -> 0 and x -> inf limits.
+
+    ``x`` may be a scalar, which gives a float, or an array.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr > 0.0):
         raise ValueError(f"argument must be positive, got {x}")
-    if x < _LN2:
-        return math.log(-math.expm1(-x))
-    return math.log1p(-math.exp(-x))
+    out = np.empty_like(arr)
+    small = arr < _LN2
+    out[small] = np.log(-np.expm1(-arr[small]))
+    out[~small] = np.log1p(-np.exp(-arr[~small]))
+    return _scalar_or_array(x, out)
 
 
 def cutoff_zeta_demo(p: int, delta: float) -> float:

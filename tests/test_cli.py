@@ -131,6 +131,29 @@ class TestCompute:
         result = json.loads(out)["results"][0]
         assert result["total"] == pytest.approx(-math.pi**2 / (720.0 * 1.5), rel=1e-8)
 
+    def test_tabulated_drude_table_inside_constant_index_bracket(self, capsys, tmp_path):
+        # a smooth Drude-like n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)),
+        # eps0 = 3, w0 = 1, on xi_k = 40*(k/199)^2; QUADPACK without the knots
+        # as breakpoints reported roundoff here (exit 3)
+        xi = [40.0 * (k / 199.0) ** 2 for k in range(200)]
+        n = [math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in xi]
+        table = tmp_path / "drude.csv"
+        table.write_text("xi,n\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(xi, n)))
+        code, out, err = run_cli(
+            capsys, "compute", "--L", "0.5", "--ns-table", str(table),
+            "--method", "lifshitz", "--format", "json",
+        )
+        assert code == 0, err
+        result = json.loads(out)["results"][0]
+        L = 0.5
+        # a larger index weakens the attraction: the closed forms at the
+        # smallest and largest index bracket the energy and the force
+        e_lo, e_hi = (-math.pi**2 / (720.0 * v * L**3) for v in (min(n), max(n)))
+        f_lo, f_hi = (-math.pi**2 / (240.0 * v * L**4) for v in (min(n), max(n)))
+        assert e_lo < result["total"] < e_hi
+        assert f_lo < result["force"] < f_hi
+        assert result["error_estimate"] < 1e-12 * abs(result["total"])
+
     def test_missing_table_file_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "compute", "--L", "1", "--ns-table", str(tmp_path / "no.csv"),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -99,6 +100,50 @@ class TestKappaLower:
             step = abs(kappa_lower(model, xi + h).value - kappa_lower(model, xi).value)
             bound = (1.5 + 3e-3 * xi**2 + 3e-3 * xi * h + 1e-3 * h * h) * h
             assert step <= bound * (1.0 + 1e-12)
+
+
+class TestArrayArguments:
+    XI = np.array([0.0, 5e-324, 0.3, 1.0, 1.7, 2.5, 4.0, 10.0, 40.0])
+
+    @pytest.mark.parametrize(
+        "model",
+        [Constant(1.3), Cauchy(1.5, 0.0), Cauchy(1.5, 0.1), Cauchy(1.0, 1.0),
+         Tabulated((0.5, 1.0, 2.0, 3.0), (1.6, 1.5, 1.3, 1.25))],
+    )
+    def test_kappa_lower_array_matches_scalar_calls(self, model):
+        low = kappa_lower(model, self.XI)
+        assert low.value.shape == low.raw.shape == self.XI.shape
+        scalars = [kappa_lower(model, float(x)) for x in self.XI]
+        assert list(low.value) == [s.value for s in scalars]
+        assert list(low.raw) == [s.raw for s in scalars]
+        assert low.clamped == any(s.clamped for s in scalars)
+        assert all(type(v) is float for s in scalars for v in (s.value, s.raw))
+
+    @pytest.mark.parametrize("n0, n1", [(1.0, 1e-2), (1.5, 0.1), (2.0, 1e-4)])
+    def test_clamped_iff_some_node_past_turnover(self, n0, n1):
+        # kappa_1 = n0*xi - n1*xi^3 reaches zero at sqrt(n0/n1)
+        turnover = math.sqrt(n0 / n1)
+        model = Cauchy(n0, n1)
+        below = np.linspace(0.0, 0.999 * turnover, 50)
+        past = np.append(below, 1.001 * turnover)
+        assert not kappa_lower(model, below).clamped
+        low = kappa_lower(model, past)
+        assert low.clamped
+        assert low.value[-1] == 0.0 and low.raw[-1] < 0.0
+        assert np.all(low.value[:-1] == low.raw[:-1])
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(ValueError):
+            kappa_lower(Cauchy(1.0, 0.1), np.array([0.5, -1e-9]))
+
+    def test_index_at_array_matches_scalar_calls(self):
+        table = Tabulated((0.5, 1.0, 2.0, 3.0), (1.6, 1.5, 1.3, 1.25))
+        values = table.index_at(self.XI)
+        assert isinstance(values, np.ndarray) and values.shape == self.XI.shape
+        assert list(values) == [table.index_at(float(x)) for x in self.XI]
+        # flat past both ends
+        assert values[0] == values[1] == 1.6 and values[-1] == 1.25
+        assert type(table.index_at(1.5)) is float
 
 
 class TestValidity:

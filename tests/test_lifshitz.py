@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from casdisp import lifshitz
 from casdisp.cli import main
@@ -231,16 +233,19 @@ class TestScaleFreeSplit:
         assert abs(tight.total - loose.total) <= tight.error_estimate + loose.error_estimate
 
     def test_split_sweep_integrates_once(self, capsys, monkeypatch):
-        calls = []
-        quadpack = lifshitz._quadpack
+        passes = []
+        node_rule = lifshitz._integrate
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return quadpack(*args, **kwargs)
+        def counting(integrand, breaks, spec):
+            def counted(u):
+                passes.append(u.size)
+                return integrand(u)
+
+            return node_rule(counted, breaks, spec)
 
         lifshitz._e0_number.cache_clear()
         lifshitz._delta_number.cache_clear()
-        monkeypatch.setattr(lifshitz, "_quadpack", counting)
+        monkeypatch.setattr(lifshitz, "_integrate", counting)
         code = main([
             "sweep", "--variable", "L", "--min", "0.5", "--max", "1e4",
             "--points", "200", "--scale", "log", "--n0", "1.5", "--n1", "1e-4",
@@ -248,7 +253,104 @@ class TestScaleFreeSplit:
         ])
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 201
-        assert len(calls) <= 2
+        # one node-rule pass for each of c0 and c1, none per row
+        assert 1 <= len(passes) <= 2
+
+
+def _drude_table(eps0: float, w0: float, samples: int = 40) -> Tabulated:
+    # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on xi_k = 40*(k/(samples-1))^2
+    xi = [40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
+    n = [math.sqrt(1.0 + (eps0 - 1.0) / (1.0 + (x / w0) ** 2)) for x in xi]
+    return Tabulated(xi, n)
+
+
+def _quadpack_oracle(integrand, breaks):
+    # QUADPACK on the same scalar integrand, told where it is not smooth
+    value, error = quad(
+        integrand, breaks[0], breaks[-1], points=breaks[1:-1] or None,
+        epsabs=1e-15, epsrel=1e-12, limit=500,
+    )
+    return value, error
+
+
+class TestNodeRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L_exp=st.floats(min_value=-6.0, max_value=6.0),
+        n0=st.floats(min_value=1.0, max_value=3.0),
+        trust=st.floats(min_value=1e-6, max_value=0.99),
+    )
+    @example(L_exp=0.0, n0=1.0, trust=0.99)
+    @example(L_exp=0.1, n0=1.0, trust=0.4)
+    def test_full_kappa1_within_estimate_of_quadpack(self, L_exp, n0, trust):
+        L = 10.0**L_exp
+        model = Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2)
+        u_max = DEFAULT_QUADRATURE.u_max
+
+        def integrand(u):
+            low = kappa_lower(model, u / (n0 * L))
+            return inner_integral(low.value * L, 1.0) - inner_integral(u, 1.0)
+
+        turnover = n0 * L * math.sqrt(n0 / model.n1)
+        breaks = [0.0, turnover, u_max] if turnover < u_max else [0.0, u_max]
+        raw, raw_error = _quadpack_oracle(integrand, breaks)
+        scale = 1.0 / (2.0 * math.pi**2 * n0 * L**3)
+        node, clamped = delta_e_lifshitz_full(L, model)
+        assert abs(node.value - raw * scale) <= node.error + raw_error * scale
+        assert clamped == (turnover < u_max)
+
+    @pytest.mark.parametrize("eps0, w0", [(1.7, 0.5), (3.0, 1.0), (6.0, 20.0)])
+    @pytest.mark.parametrize("L", [0.5, 4.0])
+    def test_tabulated_within_estimate_of_quadpack(self, eps0, w0, L):
+        table = _drude_table(eps0, w0)
+        n = min(table.n)
+        u_max = DEFAULT_QUADRATURE.u_max
+
+        def integrand(u):
+            return inner_integral(kappa_lower(table, u / (n * L)).value * L, 1.0)
+
+        knots = [n * L * xi for xi in table.xi if 0.0 < n * L * xi < u_max]
+        raw, raw_error = _quadpack_oracle(integrand, [0.0, *knots, u_max])
+        scale = 1.0 / (2.0 * math.pi**2 * n * L**3)
+        node = total_energy_lifshitz(Scenario(L, table), mode=Mode.FULL_KAPPA1)
+        assert abs(node.total - raw * scale) <= node.error_estimate + raw_error * scale
+
+    @pytest.mark.parametrize("eps0, w0", [(1.7, 0.5), (3.0, 1.0), (6.0, 20.0)])
+    @pytest.mark.parametrize("L", [0.5, 4.0])
+    def test_tabulated_rel_tol_halving_within_estimate(self, eps0, w0, L):
+        scenario = Scenario(L, _drude_table(eps0, w0, samples=200))
+        coarse = total_energy_lifshitz(scenario, DEFAULT_QUADRATURE, Mode.FULL_KAPPA1)
+        fine = total_energy_lifshitz(
+            scenario, QuadratureSpec(rel_tol=DEFAULT_QUADRATURE.rel_tol / 2.0),
+            Mode.FULL_KAPPA1,
+        )
+        assert abs(fine.total - coarse.total) <= coarse.error_estimate
+
+    def test_outer_integrals_never_reach_quadpack(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an outer integral called QUADPACK")
+
+        lifshitz._e0_number.cache_clear()
+        lifshitz._delta_number.cache_clear()
+        monkeypatch.setattr(lifshitz, "_quadpack", forbidden)
+        for model, mode in (
+            (Cauchy(1.5, 1e-3), Mode.FIRST_ORDER_SPLIT),
+            (Cauchy(1.5, 1e-3), Mode.FULL_KAPPA1),
+            (_drude_table(3.0, 1.0), Mode.FULL_KAPPA1),
+        ):
+            force_lifshitz(Scenario(1.0, model), mode=mode)
+        with pytest.raises(AssertionError):
+            inner_integral_quadrature(1.0, 1.0)
+
+    def test_smooth_integral_over_panels(self):
+        spec = QuadratureSpec()
+        estimate = _integrate(np.exp, (0.0, 0.3, 1.0, 2.0), spec)
+        assert estimate.value == pytest.approx(math.expm1(2.0), rel=1e-15)
+        assert abs(estimate.value - math.expm1(2.0)) <= estimate.error
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            _integrate(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
 
 
 class TestForce:
@@ -276,9 +378,10 @@ class TestForce:
 
 class TestFailurePaths:
     def test_subdivision_exhaustion_raises(self):
+        # no step the budget allows (down to 2^-3) resolves this oscillation
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=10)
         with pytest.raises(QuadratureError):
-            _integrate(lambda x: math.sin(1e6 * x * x), 0.0, 20.0, spec)
+            _integrate(lambda x: np.sin(1e6 * x * x), (0.0, 20.0), spec)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

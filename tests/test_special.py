@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -188,3 +189,78 @@ class TestRichardson:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             richardson([])
+
+
+def _ulp_neighbours(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# w = 0, subnormal and tiny w, one ulp either side of each branch point
+# (1 for the polylogarithms, from the expansion about the unit argument to
+# the defining series; ln 2 for log(1 - e^-x), the old polylogarithm
+# branch point), and the far end
+ARRAY_POINTS = (
+    [0.0, 5e-324, 1e-310, 1e-300, 1e-20, 1e-8, 1e-3, 0.1, 0.5]
+    + _ulp_neighbours(math.log(2.0))
+    + _ulp_neighbours(1.0)
+    + [2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 700.0, 745.0, 800.0]
+)
+
+
+def _mp_polylog_exp_neg(s, w):
+    with mpmath.workdps(40):
+        if w == 0.0:
+            return float(mpmath.zeta(s))
+        return float(mpmath.polylog(s, mpmath.exp(-mpmath.mpf(w))))
+
+
+def _mp_log_one_minus_exp(x):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x < 1:
+            return float(mpmath.log(-mpmath.expm1(-x)))
+        return float(mpmath.log1p(-mpmath.exp(-x)))
+
+
+class TestArrayArguments:
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_polylog_array_matches_scalar_and_mpmath(self, s):
+        w = np.array(ARRAY_POINTS)
+        values = polylog_exp_neg(s, w)
+        assert isinstance(values, np.ndarray) and values.shape == w.shape
+        for wi, vi in zip(ARRAY_POINTS, values):
+            scalar = polylog_exp_neg(s, wi)
+            exact = _mp_polylog_exp_neg(s, wi)
+            # an array and a scalar call may sum a different number of
+            # vanishing terms, so they agree to rounding, not bitwise
+            assert vi == pytest.approx(scalar, rel=4e-16, abs=1e-300)
+            assert vi == pytest.approx(exact, rel=6e-16, abs=1e-300)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_polylog_scalar_gives_float(self, s):
+        for w in (0.0, 5e-324, 0.5, 1.0, 5.0, 800.0, np.float64(2.0), np.array(2.0)):
+            assert type(polylog_exp_neg(s, w)) is float
+
+    def test_polylog_keeps_shape_and_rejects_bad_elements(self):
+        grid = np.linspace(0.0, 8.0, 12).reshape(3, 4)
+        assert polylog_exp_neg(3, grid).shape == (3, 4)
+        assert polylog_exp_neg(2, np.array([])).shape == (0,)
+        for bad in ([1.0, -1e-300], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                polylog_exp_neg(2, np.array(bad))
+
+    def test_log_one_minus_exp_array_matches_scalar_and_mpmath(self):
+        x = np.array([v for v in ARRAY_POINTS if v > 0.0])
+        values = log_one_minus_exp(x)
+        assert isinstance(values, np.ndarray) and values.shape == x.shape
+        for xi, vi in zip(x, values):
+            assert vi == log_one_minus_exp(float(xi))
+            exact = _mp_log_one_minus_exp(xi)
+            assert vi == pytest.approx(exact, rel=4e-16, abs=1e-320)
+
+    def test_log_one_minus_exp_scalar_gives_float_and_rejects_bad_elements(self):
+        for x in (5e-324, math.log(2.0), 800.0, np.float64(1.0)):
+            assert type(log_one_minus_exp(x)) is float
+        for bad in ([1.0, 0.0], [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                log_one_minus_exp(np.array(bad))
