@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "Constant",
@@ -72,9 +71,11 @@ class Tabulated:
     """Sampled index n(i*xi) on the imaginary-frequency axis.
 
     Samples must be sorted by strictly increasing xi >= 0 with n > 0.
-    Queries use monotone (shape-preserving) cubic interpolation with flat
-    extrapolation beyond the table ends, so interpolated values never
-    overshoot into n <= 0.
+    Queries use PCHIP, the monotone (shape-preserving) piecewise cubic
+    Hermite interpolant of Fritsch & Carlson with the end slopes of
+    scipy's ``PchipInterpolator``, and flat extrapolation beyond the table
+    ends, so interpolated values never overshoot into n <= 0.  A
+    two-sample table is linear.
     """
 
     xi: tuple[float, ...]
@@ -95,14 +96,65 @@ class Tabulated:
             raise ValueError("index samples must be positive")
 
     @cached_property
-    def _interpolator(self) -> PchipInterpolator:
-        return PchipInterpolator(np.asarray(self.xi), np.asarray(self.n))
+    def _interpolator(self) -> tuple[np.ndarray, np.ndarray]:
+        # (knots, cubics): on the interval from knot k, the index is
+        # d + c*s + b*s^2 + a*s^3 in s = xi - xi_k, with (a, b, c, d)
+        # column k of ``cubics``; summed in that order, as scipy's PPoly
+        # does, the values are scipy's to the last bit
+        x, y = np.asarray(self.xi), np.asarray(self.n)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        slope = _pchip_slopes(h, m)
+        t = (slope[:-1] + slope[1:] - 2.0 * m) / h
+        cubics = np.stack((t / h, (m - slope[:-1]) / h - t, slope[:-1], y[:-1]))
+        return x, cubics
 
     def index_at(self, xi):
         """n(i*xi) at a scalar (giving a float) or an array of frequencies."""
-        clipped = np.clip(xi, self.xi[0], self.xi[-1])
-        value = self._interpolator(clipped)
+        knots, cubics = self._interpolator
+        clipped = np.clip(xi, knots[0], knots[-1])
+        # knots[k] <= xi < knots[k + 1]; the last knot closes the last interval
+        k = np.searchsorted(knots[1:-1], clipped, side="right")
+        s = clipped - knots.take(k)
+        s2 = s * s
+        # accumulated into one array, so fewer node-sized temporaries are
+        # alive at once; (c*s) + d is d + c*s to the bit
+        value = cubics[2].take(k) * s
+        value += cubics[3].take(k)
+        value += cubics[1].take(k) * s2
+        value += cubics[0].take(k) * (s2 * s)
         return float(value) if np.ndim(xi) == 0 else value
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # Knot slopes of PCHIP from interval widths h and secants m, as scipy's
+    # PchipInterpolator takes them: inside, the weighted harmonic mean of
+    # the neighbouring secants, or 0 where they differ in sign or one is
+    # flat; at each end, the three-point one-sided slope.
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros(len(m) + 1)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    same = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
+    w1, w2, left, right = w1[same], w2[same], m[:-1][same], m[1:][same]
+    d[1:-1][same] = 1.0 / ((w1 / left + w2 / right) / (w1 + w2))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # Three-point slope at an end, set to 0 if it points against the end
+    # secant m0 and limited to 3*m0 where the secants change sign, which
+    # keeps the end interval monotone (Moler, Numerical Computing with
+    # MATLAB, sec. 3.6).
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 DispersionModel = Union[Constant, Cauchy, Tabulated]

@@ -47,7 +47,6 @@ from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad as _quadpack
 
 from .closed_form import EnergyBreakdown, Method, Scenario, surface_energy
 from .dispersion import (
@@ -151,23 +150,38 @@ def inner_integral(kappa1, L: float):
     return term2 + term3
 
 
+def _quadpack(*args, **kwargs):
+    # scipy.integrate.quad, imported on first use: only the oracle below
+    # calls it, and importing scipy takes several times as long as
+    # importing the rest of the package
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
+
 def inner_integral_quadrature(
     kappa1: float, L: float, abs_tol: float = 1e-12
 ) -> float:
     """Brute-force oracle for ``inner_integral``: direct adaptive quadrature.
 
-    Deliberately independent of the polylogarithm reduction; used to verify
-    it, never to replace it.
+    Deliberately independent of the polylogarithm reduction and of
+    ``special``; used to verify it, never to replace it.
     """
     if not kappa1 >= 0.0:
         raise ValueError(f"lower limit must be >= 0, got {kappa1}")
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
 
+    ln2 = math.log(2.0)
+
     def integrand(kappa: float) -> float:
         if kappa <= 0.0:
             return 0.0
-        return kappa * log_one_minus_exp(2.0 * kappa * L)
+        w = 2.0 * kappa * L
+        # log(1 - e^-w), each form where it keeps its digits
+        if w < ln2:
+            return kappa * math.log(-math.expm1(-w))
+        return kappa * math.log1p(-math.exp(-w))
 
     # e^(-2*kappa*L) < e^-50 beyond the cutoff; the remaining tail is
     # orders of magnitude below abs_tol

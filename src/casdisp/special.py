@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -224,6 +223,9 @@ def cutoff_zeta_demo(p: int, delta: float) -> float:
         raise ValueError(f"exponent {p} not supported (need 3 or 5)")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"cutoff must lie in (0, 0.5], got {delta}")
+    # imported here, not at the top: only the validation battery needs it
+    import mpmath
+
     with mpmath.workdps(40):
         d = mpmath.mpf(delta)
         x = mpmath.exp(-d)

@@ -146,6 +146,76 @@ class TestArrayArguments:
         assert type(table.index_at(1.5)) is float
 
 
+def _pchip_table(shape: str, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    xi = np.cumsum(rng.uniform(0.05, 2.0, size)) + rng.uniform(0.0, 1.0)
+    steps = rng.uniform(0.0, 0.3, size)
+    if shape == "increasing":
+        n = 1.0 + np.cumsum(steps)
+    elif shape == "decreasing":
+        n = 1.0 + np.cumsum(steps)[::-1]
+    elif shape == "non-monotone":
+        n = rng.uniform(0.1, 3.0, size)
+    else:  # flat segments: repeated levels, flat secants next to sign changes
+        n = rng.integers(1, 4, size).astype(float)
+    return xi, n
+
+
+class TestPchipMatchesScipy:
+    """The table interpolant is scipy's PchipInterpolator, clamped at the ends."""
+
+    @staticmethod
+    def _expected(xi, n, queries):
+        from scipy.interpolate import PchipInterpolator
+
+        return PchipInterpolator(xi, n)(np.clip(queries, xi[0], xi[-1]))
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 17, 60])
+    @pytest.mark.parametrize(
+        "shape", ["increasing", "decreasing", "non-monotone", "flat segments"]
+    )
+    def test_random_tables(self, shape, size):
+        for seed in range(4):
+            xi, n = _pchip_table(shape, size, seed + 100 * size)
+            span = xi[-1] - xi[0]
+            rng = np.random.default_rng(seed)
+            # every knot, plus queries reaching a third of the span past each end
+            queries = np.concatenate(
+                (xi, rng.uniform(xi[0] - span / 3, xi[-1] + span / 3, 400))
+            )
+            values = Tabulated(tuple(xi), tuple(n)).index_at(queries)
+            np.testing.assert_allclose(
+                values, self._expected(xi, n, queries), rtol=1e-13, atol=0.0
+            )
+
+    @pytest.mark.parametrize(
+        "xi, n",
+        [
+            # left three-point slope 6 is cut to 3*m0 (secants change sign)
+            ((0.0, 1.0, 1.2), (1.0, 2.0, 1.0)),
+            # left three-point slope points against m0 and is set to 0
+            ((0.0, 1.0, 2.0), (1.0, 1.1, 3.0)),
+            # the same two rules at the right end
+            ((0.0, 0.2, 1.2), (1.0, 2.0, 1.0)),
+            ((0.0, 1.0, 2.0), (3.0, 1.1, 1.0)),
+        ],
+    )
+    def test_end_slope_rules(self, xi, n):
+        queries = np.linspace(-0.5, 2.5, 301)
+        values = Tabulated(xi, n).index_at(queries)
+        np.testing.assert_allclose(
+            values, self._expected(np.array(xi), np.array(n), queries), rtol=1e-13, atol=0.0
+        )
+
+    def test_scalar_queries_give_floats(self):
+        xi, n = _pchip_table("non-monotone", 12, 7)
+        table = Tabulated(tuple(xi), tuple(n))
+        for x in (xi[0] - 5.0, xi[0], 0.5 * (xi[3] + xi[4]), xi[6], xi[-1], xi[-1] + 9.0):
+            value = table.index_at(float(x))
+            assert type(value) is float
+            assert value == pytest.approx(float(self._expected(xi, n, x)), rel=1e-13, abs=0.0)
+
+
 class TestValidity:
     def test_quadratic_model(self):
         report = validity(Cauchy(1.0, 0.01))
