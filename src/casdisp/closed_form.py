@@ -71,7 +71,10 @@ class EnergyBreakdown:
     ``beyond_validity`` marks results computed outside the dispersion
     model's trust region (separation at or below 2*pi*sqrt(n1), or a
     clamped lower integration limit); the numbers remain evaluable
-    mathematics and are reported anyway.
+    mathematics and are reported anyway.  ``force`` and ``force_error``
+    hold -d(total)/dL and its error where the route that made the
+    breakdown computed them in the same evaluation, as the quadrature
+    routes do; the closed form leaves them to ``force_analytic``.
     """
 
     e0: float
@@ -81,6 +84,8 @@ class EnergyBreakdown:
     method: Method
     error_estimate: float
     beyond_validity: bool = False
+    force: Optional[float] = None
+    force_error: Optional[float] = None
 
 
 def e0_analytic(L: float, n0: float) -> float:

@@ -36,12 +36,17 @@ Every outer integral goes through one node rule: tanh-sinh quadrature
 smooth (the kappa_1 turnover, the knots of a table), with the nodes of all
 panels evaluated as one array per refinement level.  QUADPACK only backs
 the independent oracle ``inner_integral_quadrature``.
+
+The force is the exact -dE/dL of the windowed energy, from the same pass:
+at fixed xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x^2*log(1 - e^(-2x)) - 2*I(x, 1),
+and the window, fixed in u, shrinks in xi as L grows, so
+dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple
@@ -230,14 +235,17 @@ def _integrate(
     integrand: Callable[[np.ndarray], np.ndarray],
     breaks,
     spec: QuadratureSpec,
-) -> Estimate:
+):
     # One node rule behind every outer integral: tanh-sinh on each panel
     # between consecutive breakpoints (where the integrand may be
     # non-smooth), all panels' nodes of a level in one array, so the
-    # integrand runs once per level.  The estimate is the change from the
-    # previous level, plus a rounding floor; the rule stops once that
-    # change is at most max(abs_tol, rel_tol*|value|), and raises
-    # QuadratureError when the step would drop below 1/max_subdivisions.
+    # integrand runs once per level.  The integrand gives one value per
+    # node, or a (k, nodes) stack of k integrands sharing the nodes, for
+    # which the result is a tuple of k Estimates.  Each estimate is the
+    # change from the previous level, plus a rounding floor; the rule stops
+    # once every component's change is at most max(abs_tol, rel_tol*|value|),
+    # and raises QuadratureError when the step would drop below
+    # 1/max_subdivisions.
     edges = np.asarray(breaks, dtype=float)
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
@@ -251,28 +259,35 @@ def _integrate(
         offset, weight = _steps(level, first)
         # (end, panel, step): nodes from the left and from the right end
         nodes = np.stack((lo + half * offset, hi - half * offset))
-        values = integrand(nodes.ravel()).reshape(nodes.shape)
+        values = integrand(nodes.ravel())
+        stacked = values.ndim == 2
+        values = values.reshape((-1, *nodes.shape))
         if not np.all(np.isfinite(values)):
             raise QuadratureError("integrand is not finite at a quadrature node")
-        # plain numpy sums: a BLAS dot may wake threads for long vectors
+        # plain numpy sums (a BLAS dot may wake threads for long vectors),
+        # one component at a time, so a stacked integrand sums in the same
+        # order, to the bit, as it would alone
         terms = half * weight * values
-        part, part_mass = terms.sum(), np.abs(terms).sum()
+        part = np.array([t.sum() for t in terms])
+        part_mass = np.array([np.abs(t).sum() for t in terms])
         if first:
             # the even steps are the previous level's, at twice the weight
-            previous = 2.0 * terms[..., ::2].sum()
+            previous = 2.0 * np.array([t[..., ::2].sum() for t in terms])
             value, mass = part, part_mass
         else:
             previous = value
             value, mass = 0.5 * value + part, 0.5 * mass + part_mass
-        change = abs(value - previous)
-        if change <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return Estimate(float(value), float(change + _ROUNDING * mass))
+        change = np.abs(value - previous)
+        if np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))):
+            error = change + _ROUNDING * mass
+            estimates = tuple(Estimate(float(v), float(e)) for v, e in zip(value, error))
+            return estimates if stacked else estimates[0]
         level, first = level + 1, False
         if 2**level > spec.max_subdivisions:
             raise QuadratureError(
                 f"node rule did not converge at step 2^-{level - 1} "
                 f"(max_subdivisions {spec.max_subdivisions}): "
-                f"last change {change:.3g}"
+                f"last change {change.max():.3g}"
             )
 
 
@@ -288,6 +303,32 @@ def _delta_tail_bound(u_max: float) -> float:
     damp = math.exp(-2.0 * u_max)
     poly = u_max**4 / 2.0 + u_max**3 + 1.5 * u_max**2 + 1.5 * u_max + 0.75
     return damp * poly / (1.0 - damp)
+
+
+def _force_tail_bound(u_max: float) -> float:
+    # What the windowed force drops against the untruncated one, for an
+    # integrand with x >= u (the table routes): int_{u_max}^inf |G(x)| du
+    # plus the boundary term u_max*|I(x(u_max), 1)|.  On the tail,
+    # |G(u)| <= e^(-2u) * (u^2/(1 - e^(-2*u_max)) + zeta(2)*u + zeta(3)/2)
+    # from |log(1 - y)| <= y/(1 - e^(-2*u_max)) and the bound on I above;
+    # both bounds fall with u once u >= 1, so x >= u may take u's.
+    damp = math.exp(-2.0 * u_max)
+    square = u_max**2 / 2.0 + u_max / 2.0 + 0.25  # e^(2U) int_U^inf u^2 e^(-2u) du
+    return damp * (
+        square / (1.0 - damp)
+        + ZETA_VALUES[2] * square
+        + ZETA_VALUES[3] * (u_max + 1.0) / 4.0
+    )
+
+
+def _slope_integrand(x: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    # G(x) = L^3 * dI(kappa_1, L)/dL at fixed xi, with x = kappa_1*L and
+    # I(kappa_1, L) = I(x, 1)/L^2: -x^2*log(1 - e^(-2x)) - 2*I(x, 1), given
+    # ``inner`` = I(x, 1).  x^2*log(1 - e^(-2x)) tends to 0 at a clamped x = 0.
+    log = np.zeros_like(x)
+    positive = x > 0.0
+    log[positive] = log_one_minus_exp(2.0 * x[positive])
+    return -(x * x) * log - 2.0 * inner
 
 
 @cache
@@ -308,7 +349,7 @@ def _delta_number(quad: QuadratureSpec) -> Estimate:
 
 
 def _scaled(number: Estimate, scale: float) -> Estimate:
-    return Estimate(number.value * scale, number.error * scale)
+    return Estimate(number.value * scale, number.error * abs(scale))
 
 
 def e0_lifshitz(
@@ -352,11 +393,26 @@ def delta_e_lifshitz_full(
     of cancellation against the leading term.  Returns the estimate and
     whether kappa_1 was clamped anywhere in the window.
     """
+    delta, _, clamped = _full_kappa1(L, model, quad)
+    return delta, clamped
+
+
+def _full_kappa1(
+    L: float, model: DispersionModel, quad: QuadratureSpec
+) -> tuple[Estimate, Estimate, bool]:
+    # (delta_e, its share of the force, clamped).  With G from
+    # ``_slope_integrand`` and x_U = x(u_max), the share is
+    # -[int (G(x) - G(u)) du - u_max*(I(x_U, 1) - I(u_max, 1))]/(2*pi^2*n0*L^4):
+    # the exact -d(delta_e)/dL on the fixed window, integrated with the
+    # energy on the same nodes.  The dispersion-free part, from
+    # int_0^U G(u) du - U*I(U, 1) = -3*c0, is 3*e0/L, whose error (3/L times
+    # e0's) also bounds that part's tail; as for the energy, no tail is
+    # added for the difference.
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
     n0, n1 = cauchy_coefficients(model)
     if n1 == 0.0:
-        return Estimate(0.0, 0.0), False
+        return Estimate(0.0, 0.0), Estimate(0.0, 0.0), False
     clamped = False
 
     def integrand(u: np.ndarray) -> np.ndarray:
@@ -364,32 +420,53 @@ def delta_e_lifshitz_full(
         low = kappa_lower(model, u / (n0 * L))
         clamped = clamped or low.clamped
         # one polylogarithm pass over both lower limits
-        both = inner_integral(np.concatenate((low.value * L, u)), 1.0)
-        return both[: u.size] - both[u.size :]
+        x = np.concatenate((low.value * L, u))
+        both = inner_integral(x, 1.0)
+        energy = both[: u.size] - both[u.size :]
+        slope = _slope_integrand(x, both)
+        return np.stack((energy, slope[: u.size] - slope[u.size :]))
 
     # kappa_1 reaches zero at u_c = n0*L*sqrt(n0/n1) and is clamped past it
+    u_max = quad.u_max
     turnover = n0 * L * math.sqrt(n0 / n1)
-    breaks = (0.0, turnover, quad.u_max) if turnover < quad.u_max else (0.0, quad.u_max)
-    raw = _integrate(integrand, breaks, quad)
-    # the difference rounds on the scale of I(u, 1), whose integral is c0,
-    # not on its own
+    breaks = (0.0, turnover, u_max) if turnover < u_max else (0.0, u_max)
+    raw, raw_slope = _integrate(integrand, breaks, quad)
+    # the differences round on the scale of I(u, 1) and G(u), whose
+    # integrals are c0 and about -3*c0, not on their own
     rounding = _ROUNDING * abs(_e0_number(quad).value)
-    estimate = Estimate(raw.value, raw.error + rounding)
-    return _scaled(estimate, 1.0 / (_TWO_PI_SQ * n0 * L**3)), clamped
+    scale = 1.0 / (_TWO_PI_SQ * n0 * L**3)
+    delta = _scaled(Estimate(raw.value, raw.error + rounding), scale)
+    x_edge = kappa_lower(model, u_max / (n0 * L)).value * L
+    edge, u_edge = inner_integral(np.array([x_edge, u_max]), 1.0)
+    slope = Estimate(
+        raw_slope.value - u_max * float(edge - u_edge), raw_slope.error + 3.0 * rounding
+    )
+    return delta, _scaled(slope, -scale / L), clamped
 
 
-def _tabulated_full(L: float, model: Tabulated, quad: QuadratureSpec) -> Estimate:
+def _tabulated_full(
+    L: float, model: Tabulated, quad: QuadratureSpec
+) -> tuple[Estimate, Estimate]:
+    # (energy, force), from one pass over [I(x, 1), G(x)]: the force is
+    # -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
     n = min(model.n)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return inner_integral(kappa_lower(model, u / (n * L)).value * L, 1.0)
+        x = kappa_lower(model, u / (n * L)).value * L
+        inner = inner_integral(x, 1.0)
+        return np.stack((inner, _slope_integrand(x, inner)))
 
     # the interpolant is only C^1 at its knots and flat past the table ends
     u_max = quad.u_max
     knots = [u for u in (n * L * xi for xi in model.xi) if 0.0 < u < u_max]
-    raw = _integrate(integrand, (0.0, *knots, u_max), quad)
-    tail = _e0_tail_bound(u_max)
-    return _scaled(Estimate(raw.value, raw.error + tail), 1.0 / (_TWO_PI_SQ * n * L**3))
+    raw, raw_slope = _integrate(integrand, (0.0, *knots, u_max), quad)
+    edge = inner_integral(kappa_lower(model, u_max / (n * L)).value * L, 1.0)
+    slope = Estimate(
+        raw_slope.value - u_max * edge, raw_slope.error + _force_tail_bound(u_max)
+    )
+    scale = 1.0 / (_TWO_PI_SQ * n * L**3)
+    energy = _scaled(Estimate(raw.value, raw.error + _e0_tail_bound(u_max)), scale)
+    return energy, _scaled(slope, -scale / L)
 
 
 def total_energy_lifshitz(
@@ -402,7 +479,8 @@ def total_energy_lifshitz(
     FIRST_ORDER_SPLIT requires a constant or quadratic index; FULL_KAPPA1
     accepts any model.  For tabulated data the full value is reported as
     ``e0`` with a zero ``delta_e``, since no dispersion-free reference
-    exists to split against.
+    exists to split against.  The breakdown carries the force -dE/dL of
+    the same evaluation (see ``force_lifshitz``), from the same node pass.
     """
     L = scenario.L
     model = scenario.model
@@ -410,16 +488,21 @@ def total_energy_lifshitz(
 
     if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):
         # sampled data has no closed trust region, so nothing to flag
-        e0 = _tabulated_full(L, model, quad)
+        e0, force = _tabulated_full(L, model, quad)
         delta = Estimate(0.0, 0.0)
         flagged = False
     elif mode in (Mode.FIRST_ORDER_SPLIT, Mode.FULL_KAPPA1):
         n0, _ = cauchy_coefficients(model)
         e0 = e0_lifshitz(L, n0, quad)
+        # e0 = c0/(2*pi^2*n0*L^3) gives -de0/dL = 3*e0/L exactly
+        leading = _scaled(e0, 3.0 / L)
         if mode is Mode.FULL_KAPPA1:
-            delta, clamped = delta_e_lifshitz_full(L, model, quad)
+            delta, shift, clamped = _full_kappa1(L, model, quad)
         else:
             delta, clamped = delta_e_lifshitz_first_order(L, model, quad), False
+            # delta_e goes as 1/L^5
+            shift = _scaled(delta, 5.0 / L)
+        force = Estimate(leading.value + shift.value, leading.error + shift.error)
         flagged = clamped or not validity(model).is_valid_at(L)
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
@@ -432,6 +515,9 @@ def total_energy_lifshitz(
         method=Method.LIFSHITZ,
         error_estimate=e0.error + delta.error,
         beyond_validity=flagged,
+        # e_s = c_s/L^4
+        force=force.value + 4.0 * e_s / L,
+        force_error=force.error,
     )
 
 
@@ -447,19 +533,17 @@ def force_lifshitz(
     h_rel: float = 1e-4,
     mode: Mode = Mode.FIRST_ORDER_SPLIT,
 ) -> Estimate:
-    """Force per area as a central difference of the quadrature energy.
+    """Force per area, -dE/dL of the quadrature energy, with its error.
 
-    -[E(L*(1+h)) - E(L*(1-h))] / (2*L*h), h_rel as ``check_step_fraction``
-    allows; the reported error combines propagated quadrature errors with
-    an O(h^2) truncation allowance.
+    The exact derivative of ``total_energy_lifshitz``'s energy, which
+    computes it on the energy's own nodes: 3*e0/L + 5*delta_e/L for the
+    split route, the integral of dI/dL plus the window's boundary term for
+    the full-kappa_1 and tabulated routes, and 4*e_surface/L on top.  Its
+    error adds the node rule's error on the derivative integrand, the
+    analytic tail bounds and the scaled error of e0.  ``h_rel``, once the
+    step of a central difference, is still checked by
+    ``check_step_fraction`` but no longer changes any result.
     """
     check_step_fraction(h_rel)
-    L = scenario.L
-    up = total_energy_lifshitz(replace(scenario, L=L * (1.0 + h_rel)), quad, mode)
-    down = total_energy_lifshitz(replace(scenario, L=L * (1.0 - h_rel)), quad, mode)
-    h = L * h_rel
-    value = -(up.total - down.total) / (2.0 * h)
-    # leading 1/L^3 profile gives |truncation| ~ (10/3)*h_rel^2*|F|; doubled
-    truncation = 7.0 * h_rel**2 * abs(value)
-    error = (up.error_estimate + down.error_estimate) / (2.0 * h) + truncation
-    return Estimate(value, error)
+    breakdown = total_energy_lifshitz(scenario, quad, mode)
+    return Estimate(breakdown.force, breakdown.force_error)

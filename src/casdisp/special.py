@@ -163,8 +163,12 @@ def polylog_exp_neg(s: int, w):
     out = np.full_like(arr, ZETA_VALUES[s])
     near = (arr > 0.0) & (arr < _NEAR_UNIT_BELOW)
     far = arr >= _NEAR_UNIT_BELOW
-    out[near] = _polylog_near_unit(s, arr[near])
-    out[far] = _polylog_series(s, np.exp(-arr[far]))
+    # a branch no element takes is skipped: its numpy calls on an empty
+    # array cost as much as on a small one
+    if near.any():
+        out[near] = _polylog_near_unit(s, arr[near])
+    if far.any():
+        out[far] = _polylog_series(s, np.exp(-arr[far]))
     return _scalar_or_array(w, out)
 
 

@@ -376,6 +376,18 @@ class TestHandlerErrors:
         assert out == ""
         assert "unknown config keys: parser" in err
 
+    @pytest.mark.parametrize("mode", ["split", "full"])
+    def test_step_fraction_changes_no_output(self, capsys, mode):
+        outputs = [
+            run_cli(
+                capsys, "compute", "--L", "1.96", "--n0", "1.00677", "--n1", "0.0108094",
+                "--method", "both", "--mode", mode, "--format", "json", "--h-rel", h_rel,
+            )
+            for h_rel in ("1e-3", "1e-5")
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("method", ["analytic", "lifshitz", "both"])
     def test_step_fraction_checked_on_every_route(self, capsys, method):
         code, out, err = run_cli(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from casdisp.closed_form import (
     SurfaceTermSpec,
     delta_e_analytic,
     e0_analytic,
+    force_analytic,
     total_energy_analytic,
 )
 from casdisp.dispersion import (
@@ -257,6 +259,44 @@ class TestScaleFreeSplit:
         assert 1 <= len(passes) <= 2
 
 
+def _node_rule_passes(monkeypatch, capsys, argv):
+    # node-rule passes (calls of lifshitz._integrate) that one CLI command
+    # makes once c0 and c1 are cached
+    lifshitz._e0_number(DEFAULT_QUADRATURE)
+    lifshitz._delta_number(DEFAULT_QUADRATURE)
+    passes = []
+    node_rule = lifshitz._integrate
+
+    def counting(integrand, breaks, spec):
+        passes.append(breaks)
+        return node_rule(integrand, breaks, spec)
+
+    monkeypatch.setattr(lifshitz, "_integrate", counting)
+    code = main(argv)
+    assert code == 0, capsys.readouterr().err
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    return len(passes)
+
+
+class TestOnePassPerRow:
+    def test_full_kappa1_row(self, monkeypatch, capsys):
+        argv = [
+            "compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3",
+            "--method", "lifshitz", "--mode", "full", "--format", "csv",
+        ]
+        assert _node_rule_passes(monkeypatch, capsys, argv) == 1
+
+    def test_tabulated_row(self, monkeypatch, capsys, tmp_path):
+        table = _drude_table(3.0, 1.0)
+        path = tmp_path / "drude.csv"
+        path.write_text("".join(f"{x!r},{n!r}\n" for x, n in zip(table.xi, table.n)))
+        argv = [
+            "compute", "--L", "0.5", "--ns-table", str(path),
+            "--method", "lifshitz", "--format", "csv",
+        ]
+        assert _node_rule_passes(monkeypatch, capsys, argv) == 1
+
+
 def _drude_table(eps0: float, w0: float, samples: int = 40) -> Tabulated:
     # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on xi_k = 40*(k/(samples-1))^2
     xi = [40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
@@ -348,6 +388,21 @@ class TestNodeRule:
         assert estimate.value == pytest.approx(math.expm1(2.0), rel=1e-15)
         assert abs(estimate.value - math.expm1(2.0)) <= estimate.error
 
+    def test_stacked_integrands_stop_together(self):
+        # the peaked component needs more levels than exp; the stack runs
+        # until both have converged, so it gives the peaked one unchanged
+        spec = QuadratureSpec()
+
+        def peaked(u):
+            return 1.0 / (1e-2 + (u - 0.37) ** 2)
+
+        easy, hard = _integrate(lambda u: np.stack((np.exp(u), peaked(u))), (0.0, 2.0), spec)
+        alone = _integrate(peaked, (0.0, 2.0), spec)
+        assert hard == alone
+        assert abs(easy.value - math.expm1(2.0)) <= easy.error
+        exact = 10.0 * (math.atan(16.3) + math.atan(3.7))
+        assert abs(hard.value - exact) <= hard.error
+
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             _integrate(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
@@ -374,6 +429,103 @@ class TestForce:
     def test_step_fraction_range(self, h_rel):
         with pytest.raises(ValueError):
             force_lifshitz(Scenario(1.0, Cauchy(1.0, 0.0)), h_rel=h_rel)
+
+    @settings(deadline=None)
+    @given(
+        L_exp=st.floats(min_value=-6.0, max_value=6.0),
+        n0=st.floats(min_value=1.0, max_value=3.0),
+        trust=st.floats(min_value=0.0, max_value=0.99),
+        surface=st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
+    )
+    @example(L_exp=6.0, n0=1.0, trust=0.5, surface=None)
+    @example(L_exp=-6.0, n0=3.0, trust=0.99, surface=2.0)
+    def test_split_force_is_exact(self, L_exp, n0, trust, surface):
+        # n1 = trust * (L/2pi)^2 keeps L > 2*pi*sqrt(n1); the surface energy
+        # is ``surface`` times e0, so its force adds to the Casimir force
+        # instead of cancelling it
+        L = 10.0**L_exp
+        spec = None if surface is None else SurfaceTermSpec(surface * e0_analytic(L, n0) * L**4)
+        scenario = Scenario(L, Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2), spec)
+        force = force_lifshitz(scenario, mode=Mode.FIRST_ORDER_SPLIT)
+        closed = force_analytic(scenario)
+        assert abs(force.value - closed) <= force.error <= 1e-9 * abs(force.value)
+
+    @pytest.mark.parametrize(
+        "L, n0, n1",
+        [
+            # inside the trust region, window past the kappa_1 peak
+            (1.96, 1.00677, 0.0108094),
+            # beyond it, turnover just outside the window
+            (0.0649, 2.2448, 1.351e-4),
+        ],
+    )
+    def test_full_kappa1_force_past_the_peak(self, L, n0, n1):
+        # a central difference of the route's own energies at h = 1e-6,
+        # with a tolerance tight enough that its quadrature noise stays small
+        scenario = Scenario(L, Cauchy(n0, n1))
+        force = force_lifshitz(scenario, mode=Mode.FULL_KAPPA1)
+        difference, difference_error = _central_difference(scenario, 1e-6)
+        assert abs(force.value - difference) <= 1e-8 * abs(force.value)
+        assert abs(force.value - difference) <= force.error + difference_error
+
+    @pytest.mark.parametrize("model", [Cauchy(1.5, 1e-3), _drude_table(3.0, 1.0)])
+    def test_force_is_the_derivative_on_a_short_window(self, model):
+        # at tail_cut 1e-4 the window ends at u = 4.6, where the boundary
+        # term u_max*I(x(u_max), 1) is about 1e-3 of the integral
+        spec = QuadratureSpec(tail_cut=1e-4)
+        scenario = Scenario(0.7, model)
+        force = force_lifshitz(scenario, spec, mode=Mode.FULL_KAPPA1)
+        difference, difference_error = _central_difference(scenario, 1e-6, tail_cut=1e-4)
+        assert abs(force.value - difference) <= 1e-8 * abs(force.value)
+        assert abs(force.value - difference) <= force.error + difference_error
+
+    @pytest.mark.parametrize(
+        "model, mode",
+        [(Cauchy(1.5, 1e-3), Mode.FIRST_ORDER_SPLIT), (_drude_table(3.0, 1.0), Mode.FULL_KAPPA1)],
+    )
+    def test_tail_cut_moves_force_within_estimates(self, model, mode):
+        scenario = Scenario(0.7, model)
+        tight = force_lifshitz(scenario, QuadratureSpec(tail_cut=1e-16), mode=mode)
+        loose = force_lifshitz(scenario, QuadratureSpec(tail_cut=1e-8), mode=mode)
+        assert abs(tight.value - loose.value) <= tight.error + loose.error
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # full-kappa_1 windows that end before the kappa_1 peak
+            Cauchy(1.0, 1e-4),
+            Cauchy(1.5, 5e-4),
+            Cauchy(2.0, 1e-3),
+            *(_drude_table(eps0, w0) for eps0, w0 in [(1.7, 0.5), (3.0, 1.0), (6.0, 20.0)]),
+        ],
+    )
+    @pytest.mark.parametrize("L", [0.5, 4.0])
+    def test_full_route_force_within_estimate_of_richardson(self, model, L):
+        scenario = Scenario(L, model)
+        force = force_lifshitz(scenario, mode=Mode.FULL_KAPPA1)
+        coarse, coarse_error = _central_difference(scenario, 2e-3)
+        fine, fine_error = _central_difference(scenario, 1e-3)
+        limit = (4.0 * fine - coarse) / 3.0
+        # the 1/L^3 and 1/L^5 energy profiles leave 1.75*h^4 and 6.3*h^4
+        # relative after one extrapolation, at h = 2e-3
+        truncation = 7.0 * 2e-3**4 * abs(limit)
+        limit_error = (4.0 * fine_error + coarse_error) / 3.0 + truncation
+        assert abs(force.value - limit) <= force.error + limit_error
+
+
+def _central_difference(
+    scenario: Scenario, h: float, tail_cut: float = DEFAULT_QUADRATURE.tail_cut
+) -> tuple[float, float]:
+    # -[E(L(1+h)) - E(L(1-h))]/(2hL) of the full-kappa_1 energies at a
+    # tight tolerance, with its error: the energies' estimates over 2hL
+    # plus 7*h^2*|F|, twice the O(h^2) truncation of a 1/L^3 profile
+    spec = QuadratureSpec(rel_tol=1e-13, tail_cut=tail_cut)
+    L = scenario.L
+    up = total_energy_lifshitz(replace(scenario, L=L * (1.0 + h)), spec, Mode.FULL_KAPPA1)
+    down = total_energy_lifshitz(replace(scenario, L=L * (1.0 - h)), spec, Mode.FULL_KAPPA1)
+    value = -(up.total - down.total) / (2.0 * h * L)
+    error = (up.error_estimate + down.error_estimate) / (2.0 * h * L) + 7.0 * h * h * abs(value)
+    return value, error
 
 
 class TestFailurePaths:
