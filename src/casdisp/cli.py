@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -68,6 +69,8 @@ class SweepSpec:
             raise ValueError(f"unknown scale {self.scale!r}")
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"grid ends must be finite, got [{self.min}, {self.max}]")
         if not self.min < self.max:
             raise ValueError(f"need min < max, got [{self.min}, {self.max}]")
         if self.scale == "log" and not self.min > 0.0:

@@ -60,8 +60,8 @@ class Scenario:
     surface: Optional[SurfaceTermSpec] = None
 
     def __post_init__(self):
-        if not self.L > 0.0:
-            raise ValueError(f"separation must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError(f"separation must be positive and finite, got {self.L}")
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,8 @@ class Constant:
     n0: float
 
     def __post_init__(self):
-        if not self.n0 > 0.0:
-            raise ValueError(f"refractive index must be positive, got {self.n0}")
+        if not 0.0 < self.n0 < math.inf:
+            raise ValueError(f"refractive index must be positive and finite, got {self.n0}")
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,18 @@ class Cauchy:
     n1: float = 0.0
 
     def __post_init__(self):
-        if not self.n0 > 0.0:
-            raise ValueError(f"refractive index must be positive, got {self.n0}")
-        if not self.n1 >= 0.0:
-            raise ValueError(f"dispersion coefficient must be >= 0, got {self.n1}")
+        if not 0.0 < self.n0 < math.inf:
+            raise ValueError(f"refractive index must be positive and finite, got {self.n0}")
+        if not 0.0 <= self.n1 < math.inf:
+            raise ValueError(f"dispersion coefficient must be >= 0 and finite, got {self.n1}")
 
 
 @dataclass(frozen=True)
 class Tabulated:
     """Sampled index n(i*xi) on the imaginary-frequency axis.
 
-    Samples must be sorted by strictly increasing xi >= 0 with n > 0.
+    Samples must be finite and sorted by strictly increasing xi >= 0,
+    with n > 0.
     Queries use PCHIP, the monotone (shape-preserving) piecewise cubic
     Hermite interpolant of Fritsch & Carlson with the end slopes of
     scipy's ``PchipInterpolator``, and flat extrapolation beyond the table
@@ -88,6 +89,8 @@ class Tabulated:
             raise ValueError("xi and n columns differ in length")
         if len(self.xi) < 2:
             raise ValueError("need at least two samples")
+        if not all(math.isfinite(v) for v in self.xi + self.n):
+            raise ValueError("frequency and index samples must be finite")
         if self.xi[0] < 0.0:
             raise ValueError("frequency samples must be non-negative")
         if any(a >= b for a, b in zip(self.xi, self.xi[1:])):

@@ -157,10 +157,13 @@ def inner_integral(kappa1, L: float):
 
 def _quadpack(*args, **kwargs):
     # scipy.integrate.quad, imported on first use: only the oracle below
-    # calls it, and importing scipy takes several times as long as
-    # importing the rest of the package
-    from scipy.integrate import quad
-
+    # calls it, and scipy is a test dependency, not a runtime one
+    try:
+        from scipy.integrate import quad
+    except ImportError:
+        raise ImportError(
+            "inner_integral_quadrature needs scipy: pip install 'casdisp[test]'"
+        ) from None
     return quad(*args, **kwargs)
 
 

@@ -2,7 +2,8 @@
 
 Dilogarithm and trilogarithm on [0, 1], hard-coded Riemann zeta constants,
 a cancellation-free log(1 - e^-x), an exponentially regulated power-sum
-demonstrator, and Richardson extrapolation.
+demonstrator in decimal arithmetic whose precision grows with the inverse
+cutoff, and Richardson extrapolation.
 
 The polylogarithms switch between two independent evaluation strategies:
 the defining series for x <= 1/e, and an expansion in w = -ln(x) near the
@@ -15,6 +16,7 @@ so an integrand evaluates all its quadrature nodes in one call.
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -219,20 +221,19 @@ def cutoff_zeta_demo(p: int, delta: float) -> float:
     The power sums have the Eulerian-number closed forms
     sum n^3 x^n = x(1 + 4x + x^2)/(1 - x)^4 and
     sum n^5 x^n = x(1 + 26x + 66x^2 + 26x^3 + x^4)/(1 - x)^6 at x = e^-delta.
-    The subtraction cancels digits as delta shrinks (about twelve for p = 5
-    at delta = 0.05), far beyond double precision, so both terms are formed
-    in 40-digit arithmetic and only the final difference is rounded.
+    The subtraction cancels p + 2 digits per decade of 1/delta (about twelve
+    for p = 5 at delta = 0.05), so both terms are formed in a thread-local
+    decimal context with 30 digits to spare: the rounded difference is
+    correctly rounded over the whole domain (0, 0.5].
     """
     if p not in (3, 5):
         raise ValueError(f"exponent {p} not supported (need 3 or 5)")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"cutoff must lie in (0, 0.5], got {delta}")
-    # imported here, not at the top: only the validation battery needs it
-    import mpmath
-
-    with mpmath.workdps(40):
-        d = mpmath.mpf(delta)
-        x = mpmath.exp(-d)
+    decades = max(0, math.ceil(-math.log10(delta)))
+    with decimal.localcontext(decimal.Context(prec=30 + (p + 2) * decades)):
+        d = decimal.Decimal(delta)
+        x = (-d).exp()
         if p == 3:
             total = x * (1 + 4 * x + x**2) / (1 - x) ** 4
             divergence = 6 / d**4

@@ -12,6 +12,7 @@ c exact); the literal is the double that scipy.constants' hbar * c gives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -35,10 +36,9 @@ class UnitSystem:
 
     def __post_init__(self):
         if self.mode is UnitMode.SI:
-            if self.length_unit_in_meters is None or not self.length_unit_in_meters > 0.0:
-                raise ValueError(
-                    "SI output needs a positive length unit in meters"
-                )
+            unit = self.length_unit_in_meters
+            if unit is None or not 0.0 < unit < math.inf:
+                raise ValueError("SI output needs a positive, finite length unit in meters")
 
 
 def convert_units(

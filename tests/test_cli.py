@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -397,6 +398,77 @@ class TestHandlerErrors:
         assert code == 2
         assert out == ""
         assert "step fraction must lie in [1e-7, 1e-2]" in err
+
+
+class TestNonFiniteInput:
+    """inf and nan from a flag or a table are argument errors, caught up front."""
+
+    @staticmethod
+    def run_quietly(capsys, argv):
+        # pytest records warnings itself, so they are caught here rather than
+        # looked for on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = capsys.readouterr()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        return code, out, err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1.5\n1,1.4\ninf,1.3\n", "samples must be finite"),
+            ("0,1.5\n1,nan\n2,1.3\n", "samples must be finite"),
+            ("0,1.5\n1,inf\n2,1.3\n", "samples must be finite"),
+        ],
+        ids=["xi-inf", "n-nan", "n-inf"],
+    )
+    def test_table_sample(self, capsys, tmp_path, rows, message):
+        table = tmp_path / "n.csv"
+        table.write_text("xi,n\n" + rows)
+        code, out, err = self.run_quietly(capsys, [
+            "compute", "--L", "1", "--ns-table", str(table), "--method", "lifshitz",
+            "--format", "csv",
+        ])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--L", "inf", "--n0", "1"], "separation must be positive and finite, got inf"),
+            (["--L", "1", "--n0", "inf"], "refractive index must be positive and finite, got inf"),
+            (["--L", "1", "--n0", "1", "--n1", "inf"],
+             "dispersion coefficient must be >= 0 and finite, got inf"),
+            (["--L", "1", "--n0", "1", "--si", "--length-unit", "inf"],
+             "SI output needs a positive, finite length unit in meters"),
+        ],
+        ids=["L", "n0", "n1", "length-unit"],
+    )
+    def test_flag(self, capsys, flags, message):
+        code, out, err = self.run_quietly(
+            capsys, ["compute", *flags, "--method", "both", "--format", "csv"]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "variable, fixed",
+        [("L", ["--n0", "1"]), ("n1", ["--n0", "1", "--L", "1"])],
+        ids=["L", "n1"],
+    )
+    def test_sweep_grid_end(self, capsys, variable, fixed):
+        code, out, err = self.run_quietly(capsys, [
+            "sweep", "--variable", variable, "--min", "1", "--max", "inf", "--points", "3",
+            *fixed, "--method", "analytic", "--format", "csv",
+        ])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "casdisp sweep: error: grid ends must be finite, got [1.0, inf]"
+        )
 
 
 class TestTrustRegionRule:

@@ -1,4 +1,5 @@
-"""The run paths load numpy alone: scipy and mpmath stay out of sys.modules.
+"""The run paths load numpy alone: scipy and mpmath stay out of sys.modules,
+and every command runs where neither can be imported.
 
 Each case runs in a fresh interpreter, because the test process itself has
 imported both.
@@ -86,11 +87,56 @@ def test_table_run_loads_neither_scipy_nor_mpmath(drude_table):
     assert loaded == []
 
 
-def test_validate_loads_mpmath_but_not_scipy():
+def test_validate_loads_neither_scipy_nor_mpmath():
     code, loaded = _loaded_after("validate")
     assert code == 0
-    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
-    assert "mpmath" in loaded
+    assert loaded == []
+
+
+# with "block" as its first argument, makes scipy and mpmath unimportable
+# before casdisp is imported, as on an install without the test extra; then
+# runs the CLI on each argument list of the JSON second argument and prints
+# every exit code and stdout, and what the QUADPACK oracle raises
+BLOCKABLE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = sys.modules["mpmath"] = None
+import casdisp
+from casdisp.cli import main
+from casdisp.lifshitz import inner_integral_quadrature
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+try:
+    oracle = ["value", inner_integral_quadrature(1.0, 1.0)]
+except ImportError as exc:
+    oracle = [type(exc).__name__, str(exc)]
+print(json.dumps([runs, oracle]))
+"""
+
+
+def test_every_command_runs_without_scipy_and_mpmath(drude_table):
+    point = ["--L", "1", "--n0", "1.5", "--n1", "1e-3", "--format", "csv"]
+    commands = [
+        ["compute", *point, "--method", "analytic"],
+        ["compute", *point, "--method", "lifshitz", "--mode", "split"],
+        ["compute", *point, "--method", "lifshitz", "--mode", "full"],
+        ["compute", "--L", "0.5", "--ns-table", drude_table, "--method", "lifshitz",
+         "--format", "csv"],
+        ["sweep", "--variable", "L", "--min", "0.5", "--max", "20", "--points", "12",
+         "--n0", "1.5", "--n1", "1e-2", "--method", "both", "--mode", "split",
+         "--format", "csv"],
+        ["validate"],
+    ]
+    blocked, oracle = json.loads(_run(BLOCKABLE, "block", json.dumps(commands)))
+    unblocked, _ = json.loads(_run(BLOCKABLE, "allow", json.dumps(commands)))
+    assert [code for code, _ in blocked] == [0] * len(commands)
+    assert blocked == unblocked
+    assert oracle == [
+        "ImportError", "inner_integral_quadrature needs scipy: pip install 'casdisp[test]'"
+    ]
 
 
 def test_quadpack_oracle_imports_scipy_on_first_call():

@@ -144,6 +144,10 @@ class TestLogOneMinusExp:
             assert log_one_minus_exp(x) == pytest.approx(math.log(x), rel=1e-8)
 
 
+def _cutoff_oracle_digits(delta):
+    return 60 + 8 * max(0, math.ceil(-math.log10(delta)))
+
+
 class TestCutoffZetaDemo:
     @pytest.mark.parametrize("p, delta", sorted(CUTOFF_ORACLE))
     def test_against_extended_precision_summation(self, p, delta):
@@ -162,14 +166,39 @@ class TestCutoffZetaDemo:
             assert richardson(values, ratio=4.0) == pytest.approx(target, abs=1e-6)
 
     @pytest.mark.parametrize("p", [3, 5])
-    @pytest.mark.parametrize("delta", [0.01, 0.5])
+    # the domain's ends, and three cutoffs where 40 working digits are too
+    # few: they give -3323.93 at (5, 1e-6), 0.465 at (3, 1e-8), and 3 ulps
+    # off at (5, 1.0670065091291526e-3)
+    @pytest.mark.parametrize(
+        "delta", [0.01, 0.5, 5e-324, 1e-6, 1e-8, 1.0670065091291526e-3]
+    )
     def test_domain_ends_against_polylog(self, p, delta):
-        # sum n^p x^n = Li_{-p}(x), evaluated by mpmath at 60 digits
-        with mpmath.workdps(60):
+        # sum n^p x^n = Li_{-p}(x), by mpmath at 60 digits plus 8 per decade
+        # of 1/delta, more than the p + 2 per decade that cancel
+        with mpmath.workdps(_cutoff_oracle_digits(delta)):
             d = mpmath.mpf(delta)
             divergence = 6 / d**4 if p == 3 else 120 / d**6
             expected = float(mpmath.polylog(-p, mpmath.exp(-d)) - divergence)
-        assert cutoff_zeta_demo(p, delta) == pytest.approx(expected, abs=1e-12)
+        assert cutoff_zeta_demo(p, delta) == expected
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_correctly_rounded_on_log_uniform_cutoffs(self, p):
+        # the Eulerian closed form in mpmath, with 1 - x from expm1 so that
+        # it cancels nothing there
+        rng = np.random.default_rng(20 + p)
+        for delta in 10.0 ** rng.uniform(-30.0, math.log10(0.5), 2000):
+            delta = float(delta)
+            with mpmath.workdps(_cutoff_oracle_digits(delta)):
+                d = mpmath.mpf(delta)
+                x, gap = mpmath.exp(-d), -mpmath.expm1(-d)
+                if p == 3:
+                    expected = x * (1 + 4 * x + x**2) / gap**4 - 6 / d**4
+                else:
+                    expected = (
+                        x * (1 + 26 * x + 66 * x**2 + 26 * x**3 + x**4) / gap**6
+                        - 120 / d**6
+                    )
+            assert cutoff_zeta_demo(p, delta) == float(expected), delta
 
     @pytest.mark.parametrize("p, delta", [(4, 0.1), (2, 0.1), (3, 0.0), (3, 0.6), (5, -0.1)])
     def test_domain_errors(self, p, delta):
