@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -144,7 +145,9 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value file mirroring the flags; flags win")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves a parser as it found it
     parser = argparse.ArgumentParser(
         prog="casdisp",
         description=(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dispersion import DispersionModel, cauchy_coefficients, validity
+from .dispersion import DispersionModel, Tabulated, cauchy_coefficients, validity
 
 __all__ = [
     "Method",
@@ -33,6 +33,10 @@ __all__ = [
     "total_energy_analytic",
     "force_analytic",
 ]
+
+
+# powers of ten either side of 1 that the scales of a result may span
+_DECADES = 300
 
 
 class Method(Enum):
@@ -62,6 +66,26 @@ class Scenario:
     def __post_init__(self):
         if not 0.0 < self.L < math.inf:
             raise ValueError(f"separation must be positive and finite, got {self.L}")
+        # The routes divide by products n^i*L^j of the index n (n0, or a
+        # table's smallest) and the separation, up to n^4*L^6 in the
+        # closed-form force.  Every such product lies within 1e+-300, and so
+        # never overflows or divides by an underflowed zero, when n^4, L^6
+        # and n^4*L^6 do: its exponent is a weighted mean of theirs and 0.
+        if isinstance(self.model, Tabulated):
+            n = min(self.model.n)
+        else:
+            n, _ = cauchy_coefficients(self.model)
+        L_decades, n_decades = 6.0 * math.log10(self.L), 4.0 * math.log10(n)
+        for decades, quantity in (
+            (L_decades, f"separation {self.L!r} out of range: L^6"),
+            (n_decades, f"refractive index {n!r} out of range: n^4"),
+            (
+                L_decades + n_decades,
+                f"separation {self.L!r} out of range at refractive index {n!r}: n^4*L^6",
+            ),
+        ):
+            if abs(decades) > _DECADES:
+                raise ValueError(f"{quantity} must lie within 1e-{_DECADES} and 1e{_DECADES}")
 
 
 @dataclass(frozen=True)

@@ -258,4 +258,7 @@ def load_index_table(path) -> Tabulated:
                 ) from None
             xi.append(x)
             n.append(v)
-    return Tabulated(tuple(xi), tuple(n))
+    try:
+        return Tabulated(tuple(xi), tuple(n))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

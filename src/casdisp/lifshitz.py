@@ -149,10 +149,10 @@ def inner_integral(kappa1, L: float):
         raise ValueError(f"lower limit must be >= 0, got {kappa1}")
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
-    w = 2.0 * kappa1 * L
-    term2 = -(kappa1 / (2.0 * L)) * polylog_exp_neg(2, w)
-    term3 = -polylog_exp_neg(3, w) / (4.0 * L * L)
-    return term2 + term3
+    # Li_2 and Li_3 from one pass over w
+    li2, li3 = polylog_exp_neg((2, 3), 2.0 * kappa1 * L)
+    value = -(kappa1 / (2.0 * L)) * li2 - li3 / (4.0 * L * L)
+    return float(value) if np.ndim(kappa1) == 0 else value
 
 
 def _quadpack(*args, **kwargs):
@@ -416,21 +416,29 @@ def _full_kappa1(
     n0, n1 = cauchy_coefficients(model)
     if n1 == 0.0:
         return Estimate(0.0, 0.0), Estimate(0.0, 0.0), False
+    u_max = quad.u_max
     clamped = False
+    edge = None  # I(x(u_max), 1) - I(u_max, 1), from the first level's pass
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        nonlocal clamped
+        nonlocal clamped, edge
+        size = u.size
+        if edge is None:  # the first level's pass also takes the window's end
+            u = np.append(u, u_max)
         low = kappa_lower(model, u / (n0 * L))
-        clamped = clamped or low.clamped
         # one polylogarithm pass over both lower limits
         x = np.concatenate((low.value * L, u))
         both = inner_integral(x, 1.0)
         energy = both[: u.size] - both[u.size :]
         slope = _slope_integrand(x, both)
-        return np.stack((energy, slope[: u.size] - slope[u.size :]))
+        slope = slope[: u.size] - slope[u.size :]
+        if edge is None:
+            edge = float(energy[-1])
+        # the window's end is no node: its clamp and values stay out
+        clamped = clamped or bool(np.any(low.raw[:size] < 0.0))
+        return np.stack((energy[:size], slope[:size]))
 
     # kappa_1 reaches zero at u_c = n0*L*sqrt(n0/n1) and is clamped past it
-    u_max = quad.u_max
     turnover = n0 * L * math.sqrt(n0 / n1)
     breaks = (0.0, turnover, u_max) if turnover < u_max else (0.0, u_max)
     raw, raw_slope = _integrate(integrand, breaks, quad)
@@ -439,11 +447,7 @@ def _full_kappa1(
     rounding = _ROUNDING * abs(_e0_number(quad).value)
     scale = 1.0 / (_TWO_PI_SQ * n0 * L**3)
     delta = _scaled(Estimate(raw.value, raw.error + rounding), scale)
-    x_edge = kappa_lower(model, u_max / (n0 * L)).value * L
-    edge, u_edge = inner_integral(np.array([x_edge, u_max]), 1.0)
-    slope = Estimate(
-        raw_slope.value - u_max * float(edge - u_edge), raw_slope.error + 3.0 * rounding
-    )
+    slope = Estimate(raw_slope.value - u_max * edge, raw_slope.error + 3.0 * rounding)
     return delta, _scaled(slope, -scale / L), clamped
 
 
@@ -453,17 +457,24 @@ def _tabulated_full(
     # (energy, force), from one pass over [I(x, 1), G(x)]: the force is
     # -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
     n = min(model.n)
+    u_max = quad.u_max
+    edge = None  # I(x(u_max), 1), from the first level's pass
 
     def integrand(u: np.ndarray) -> np.ndarray:
+        nonlocal edge
+        size = u.size
+        if edge is None:  # the first level's pass also takes the window's end
+            u = np.append(u, u_max)
         x = kappa_lower(model, u / (n * L)).value * L
         inner = inner_integral(x, 1.0)
+        if edge is None:
+            edge = float(inner[-1])
+        x, inner = x[:size], inner[:size]
         return np.stack((inner, _slope_integrand(x, inner)))
 
     # the interpolant is only C^1 at its knots and flat past the table ends
-    u_max = quad.u_max
     knots = [u for u in (n * L * xi for xi in model.xi) if 0.0 < u < u_max]
     raw, raw_slope = _integrate(integrand, (0.0, *knots, u_max), quad)
-    edge = inner_integral(kappa_lower(model, u_max / (n * L)).value * L, 1.0)
     slope = Estimate(
         raw_slope.value - u_max * edge, raw_slope.error + _force_tail_bound(u_max)
     )

@@ -11,7 +11,8 @@ unit argument, where the series converges too slowly.  Downstream
 integrands reach arguments e^(-2*kappa*L) that approach 1 exactly where
 accuracy matters most, so the near-unit branch carries the load there.
 Both strategies, and log(1 - e^-x), take numpy arrays as well as scalars,
-so an integrand evaluates all its quadrature nodes in one call.
+so an integrand evaluates all its quadrature nodes in one call, and both
+orders in one pass.
 """
 
 from __future__ import annotations
@@ -120,16 +121,26 @@ def _scalar_or_array(arg, out):
     return float(out) if np.ndim(arg) == 0 else out
 
 
-def _polylog_series(s: int, x):
+def _polylog_series(s, x):
     # Defining sum at a scalar or an array of x in [0, 1), by Horner's rule
-    # with as many terms as the largest x needs
+    # with as many terms as the largest x needs.  ``s`` is an order, or a
+    # tuple of orders whose sums share one loop over a stacked array (first
+    # axis the order), each to the same bits as when summed alone.
     x = np.asarray(x, dtype=float)
     top = float(x.max(initial=0.0))
     terms = 1 if top == 0.0 else math.ceil(math.log(_SERIES_EPS) / math.log(top))
-    total = np.zeros_like(x)
-    for n in range(min(max(terms, 1), _SERIES_CAP), 0, -1):
-        total = (total + 1.0 / n**s) * x
-    return _scalar_or_array(x, total)
+    orders = s if isinstance(s, tuple) else (s,)
+    # 1/n^s per step n (rows) and order s (columns), each the correctly
+    # rounded 1.0/n**s of an exact integer power
+    n = np.arange(min(max(terms, 1), _SERIES_CAP), 0, -1, dtype=np.int64)
+    steps = 1.0 / n[:, None] ** np.array(orders)
+    total = np.zeros((len(orders), *x.shape))
+    for step in steps.reshape(*steps.shape, *(1,) * x.ndim):
+        total += step
+        total *= x
+    if isinstance(s, tuple):
+        return total
+    return _scalar_or_array(x, total[0])
 
 
 def _polylog_near_unit(s: int, w):
@@ -149,29 +160,39 @@ def _polylog_near_unit(s: int, w):
     return _scalar_or_array(w, total)
 
 
-def polylog_exp_neg(s: int, w):
+def polylog_exp_neg(s: int | tuple[int, ...], w):
     """Li_s(e^-w) for w >= 0 and s in {2, 3}, without the exp/log round trip.
 
     Preferred entry point when the argument is naturally an exponential,
     e.g. e^(-2*kappa*L): passing w directly keeps full precision for small w,
     where x = e^-w collapses onto 1.  ``w`` may be a scalar, which gives a
-    float, or an array, which gives an array of the same shape.
+    float, or an array, which gives an array of the same shape.  ``s`` may
+    also be a tuple of orders, such as (2, 3): that gives an array with one
+    row per order stacked ahead of w's shape, from one pass over w, and
+    each row equals the single-order result to the bit.
     """
-    if s not in (2, 3):
+    orders = s if isinstance(s, tuple) else (s,)
+    if not orders or any(k not in (2, 3) for k in orders):
         raise ValueError(f"polylogarithm order {s} not supported (need 2 or 3)")
     arr = np.asarray(w, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError(f"exponent must be non-negative, got {w}")
-    out = np.full_like(arr, ZETA_VALUES[s])
+    out = np.empty((len(orders), *arr.shape))
+    for i, k in enumerate(orders):
+        out[i] = ZETA_VALUES[k]
     near = (arr > 0.0) & (arr < _NEAR_UNIT_BELOW)
     far = arr >= _NEAR_UNIT_BELOW
     # a branch no element takes is skipped: its numpy calls on an empty
     # array cost as much as on a small one
     if near.any():
-        out[near] = _polylog_near_unit(s, arr[near])
+        w_near = arr[near]
+        for i, k in enumerate(orders):
+            out[i, near] = _polylog_near_unit(k, w_near)
     if far.any():
-        out[far] = _polylog_series(s, np.exp(-arr[far]))
-    return _scalar_or_array(w, out)
+        out[:, far] = _polylog_series(orders, np.exp(-arr[far]))
+    if isinstance(s, tuple):
+        return out
+    return _scalar_or_array(w, out[0])
 
 
 def polylog(s: int, x: float) -> float:

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import casdisp
 from casdisp.cli import main
 from casdisp.closed_form import Scenario, total_energy_analytic
 from casdisp.dispersion import Cauchy, validity
@@ -469,6 +474,100 @@ class TestNonFiniteInput:
         assert err.splitlines()[-1] == (
             "casdisp sweep: error: grid ends must be finite, got [1.0, inf]"
         )
+
+
+# runs main on each argument list of argv[1] in one process and prints, per
+# call, its exit code, stdout, stderr and the argparse parsers built so far
+SEQUENCE = """
+import argparse, contextlib, io, json, sys
+from casdisp.cli import main
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue(), built])
+print(json.dumps(results))
+"""
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(casdisp.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestParserBuiltOnce:
+    def test_later_calls_match_a_fresh_process(self, tmp_path):
+        config = tmp_path / "point.ini"
+        config.write_text("L = 2\nn0 = 1.5\nn1 = 1e-3\nmethod = both\nformat = csv\n")
+        plain = [
+            "compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3", "--method", "both",
+            "--mode", "full", "--format", "json",
+        ]
+        calls = [
+            ["compute", "--config", str(config)],
+            ["compute", "--L", "1", "--method", "analytic", "--format", "csv"],  # no --n0
+            plain,
+            ["sweep", "--variable", "L", "--min", "1", "--max", "4", "--points", "3",
+             "--n0", "1.5", "--method", "both", "--format", "csv"],
+            plain,
+        ]
+        proc = _python("-c", SEQUENCE, json.dumps(calls))
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        # the first call builds the parser and its three subcommands; no later one builds any
+        assert [built for *_, built in results] == [4] * len(calls)
+        assert [code for code, *_ in results] == [0, 2, 0, 0, 0]
+        for argv, (code, out, err, _) in zip(calls, results):
+            fresh = _python("-m", "casdisp", *argv)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+class TestOutOfRangeInput:
+    """Finite inputs whose powers leave the double range are argument errors."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--L", "1e-300", "--n0", "1", "--method", "analytic"],
+             "separation 1e-300 out of range: L^6"),
+            (["--L", "1e-300", "--n0", "1", "--method", "lifshitz"],
+             "separation 1e-300 out of range: L^6"),
+            (["--L", "1e200", "--n0", "1", "--method", "lifshitz"],
+             "separation 1e+200 out of range: L^6"),
+            (["--L", "1", "--n0", "1e-300", "--n1", "1e-3", "--method", "both"],
+             "refractive index 1e-300 out of range: n^4"),
+        ],
+        ids=["tiny-L-analytic", "tiny-L-lifshitz", "huge-L-lifshitz", "tiny-n0"],
+    )
+    def test_flag(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "compute", *flags, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} must lie within 1e-300 and 1e300\n"
+
+    def test_edge_of_the_range_is_finite(self, capsys):
+        # L^6 = 1e-300 is inside: every printed number is finite
+        code, out, err = run_cli(
+            capsys, "compute", "--L", "1e-50", "--n0", "1", "--n1", "1e-3",
+            "--method", "both", "--format", "csv",
+        )
+        assert code == 0
+        values = [float(v) for row in list(csv.reader(io.StringIO(out)))[1:] for v in row[:6]]
+        assert all(math.isfinite(v) for v in values)
 
 
 class TestTrustRegionRule:

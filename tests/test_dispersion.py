@@ -254,6 +254,21 @@ class TestLoadIndexTable:
         with pytest.raises(ValueError, match="line 2"):
             load_index_table(path)
 
+    @pytest.mark.parametrize(
+        "rows, rule",
+        [
+            ("0,1.5\n1,1.4\ninf,1.3\n", "frequency and index samples must be finite"),
+            ("0,1.5\n2,1.4\n1,1.3\n", "frequency samples must be strictly increasing"),
+        ],
+        ids=["non-finite", "non-increasing"],
+    )
+    def test_rejected_samples_name_the_file(self, tmp_path, rows, rule):
+        path = tmp_path / "index.csv"
+        path.write_text("xi,n\n" + rows)
+        with pytest.raises(ValueError) as caught:
+            load_index_table(path)
+        assert str(caught.value) == f"{path}: {rule}"
+
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_index_table(tmp_path / "absent.csv")

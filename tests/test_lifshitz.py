@@ -296,6 +296,49 @@ class TestOnePassPerRow:
         ]
         assert _node_rule_passes(monkeypatch, capsys, argv) == 1
 
+    @pytest.mark.parametrize("kind", ["full-kappa1", "tabulated"])
+    def test_one_polylogarithm_pass_per_level(self, monkeypatch, capsys, tmp_path, kind):
+        # kappa_lower and inner_integral run once per node-rule level, on
+        # arrays only: the force's boundary term rides on the first level
+        if kind == "full-kappa1":
+            argv = ["--L", "1", "--n0", "1.5", "--n1", "1e-3", "--mode", "full"]
+        else:
+            table = _drude_table(3.0, 1.0)
+            path = tmp_path / "drude.csv"
+            path.write_text("".join(f"{x!r},{n!r}\n" for x, n in zip(table.xi, table.n)))
+            # a tight tolerance takes this row to a second level
+            argv = ["--L", "0.5", "--ns-table", str(path), "--rel-tol", "1e-13"]
+        calls = {"levels": 0, "inner_integral": 0, "kappa_lower": 0, "scalar": 0}
+        node_rule = lifshitz._integrate
+
+        def counting_rule(integrand, breaks, spec):
+            def level(u):
+                calls["levels"] += 1
+                return integrand(u)
+
+            return node_rule(level, breaks, spec)
+
+        def counted(name, position):
+            original = getattr(lifshitz, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                calls["scalar"] += np.ndim(args[position]) == 0
+                return original(*args)
+
+            monkeypatch.setattr(lifshitz, name, wrapper)
+
+        lifshitz._e0_number(QuadratureSpec(rel_tol=1e-13))
+        lifshitz._e0_number(DEFAULT_QUADRATURE)
+        monkeypatch.setattr(lifshitz, "_integrate", counting_rule)
+        counted("inner_integral", 0)
+        counted("kappa_lower", 1)
+        code = main(["compute", *argv, "--method", "lifshitz", "--format", "csv"])
+        assert code == 0, capsys.readouterr().err
+        assert calls["levels"] == (1 if kind == "full-kappa1" else 2)
+        assert calls["inner_integral"] == calls["kappa_lower"] == calls["levels"]
+        assert calls["scalar"] == 0
+
 
 def _drude_table(eps0: float, w0: float, samples: int = 40) -> Tabulated:
     # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on xi_k = 40*(k/(samples-1))^2

@@ -15,7 +15,7 @@ from casdisp.special import (
     richardson,
     zeta_value,
 )
-from casdisp.special import _polylog_near_unit, _polylog_series
+from casdisp.special import _NEAR_UNIT, _polylog_near_unit, _polylog_series
 
 # Closed forms: Li2(1/2) = pi^2/12 - ln(2)^2/2, Li3(1/2) = 7*zeta(3)/8
 # - pi^2*ln(2)/12 + ln(2)^3/6; evaluated in 40-digit arithmetic.
@@ -293,3 +293,57 @@ class TestArrayArguments:
         for bad in ([1.0, 0.0], [1.0, math.nan]):
             with pytest.raises(ValueError):
                 log_one_minus_exp(np.array(bad))
+
+
+def _one_order(s, w):
+    # Li_s(e^-w) on an array as it was summed one order at a time: numpy's
+    # polyval near the unit argument, one Horner loop of 1.0/n**s past it
+    w = np.asarray(w, dtype=float)
+    out = np.full_like(w, ZETA_VALUES[s])
+    near, far = (w > 0.0) & (w < 1.0), w >= 1.0
+    v = w[near]
+    lg = np.log(v)
+    if s == 2:
+        head, power = ZETA_VALUES[2] - v * (1.0 - lg), v * v
+    else:
+        head = ZETA_VALUES[3] - ZETA_VALUES[2] * v + 0.5 * v * v * (1.5 - lg)
+        power = -(v * v) * v
+    first, odd = _NEAR_UNIT[s]
+    out[near] = head + power * (first - v * np.polyval(odd, v * v))
+    x = np.exp(-w[far])
+    top = float(x.max(initial=0.0))
+    terms = 1 if top == 0.0 else math.ceil(math.log(1e-17) / math.log(top))
+    total = np.zeros_like(x)
+    for n in range(terms, 0, -1):
+        total = (total + 1.0 / n**s) * x
+    out[far] = total
+    return out
+
+
+class TestPairedOrders:
+    """Li_2 and Li_3 from one pass equal each order summed alone, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.array(ARRAY_POINTS),
+            np.random.default_rng(1).uniform(0.0, 3.0, 800),
+            10.0 ** np.random.default_rng(2).uniform(-12.0, 2.5, 1000),
+            np.random.default_rng(3).uniform(0.0, 40.0, (4, 250)),
+        ],
+        ids=["edge-grid", "uniform-0-3", "log-uniform", "two-dimensional"],
+    )
+    def test_pair_matches_each_order_alone(self, w):
+        pair = polylog_exp_neg((2, 3), w)
+        assert pair.shape == (2, *w.shape)
+        for row, s in zip(pair, (2, 3)):
+            assert row.tobytes() == polylog_exp_neg(s, w).tobytes()
+            assert row.tobytes() == _one_order(s, w).tobytes()
+
+    def test_scalar_and_order_checks(self):
+        pair = polylog_exp_neg((2, 3), 0.5)
+        assert pair.shape == (2,)
+        assert list(pair) == [polylog_exp_neg(2, 0.5), polylog_exp_neg(3, 0.5)]
+        for bad in ((), (2, 4)):
+            with pytest.raises(ValueError):
+                polylog_exp_neg(bad, np.array([1.0]))
