@@ -37,6 +37,14 @@ __all__ = [
 
 # powers of ten either side of 1 that the scales of a result may span
 _DECADES = 300
+# (i, j) of the products value*n^-i*L^-j the routes form from n1 and c_s
+_N1_PRODUCTS = (
+    (0, 0, "n1"),
+    (4, 5, "n1/(n0^4*L^5)"),
+    (4, 6, "n1/(n0^4*L^6)"),
+    (3, 2, "n1/(n0^3*L^2)"),
+)
+_CS_PRODUCTS = ((0, 0, "c_s"), (0, 4, "c_s/L^4"), (0, 5, "c_s/L^5"))
 
 
 class Method(Enum):
@@ -72,9 +80,9 @@ class Scenario:
         # never overflows or divides by an underflowed zero, when n^4, L^6
         # and n^4*L^6 do: its exponent is a weighted mean of theirs and 0.
         if isinstance(self.model, Tabulated):
-            n = min(self.model.n)
+            n, n1 = min(self.model.n), 0.0
         else:
-            n, _ = cauchy_coefficients(self.model)
+            n, n1 = cauchy_coefficients(self.model)
         L_decades, n_decades = 6.0 * math.log10(self.L), 4.0 * math.log10(n)
         for decades, quantity in (
             (L_decades, f"separation {self.L!r} out of range: L^6"),
@@ -86,6 +94,24 @@ class Scenario:
         ):
             if abs(decades) > _DECADES:
                 raise ValueError(f"{quantity} must lie within 1e-{_DECADES} and 1e{_DECADES}")
+        # n1 and c_s are numerators of the terms they scale: a product that
+        # underflows rounds a term to the zero it nearly is, but one that
+        # overflows prints inf.  Each product n1*n^-i*L^-j or c_s*L^-j the
+        # routes form must stay below 1e300.
+        c_s = self.surface.c_s if self.surface else 0.0
+        for value, name, products in (
+            (n1, "dispersion coefficient", _N1_PRODUCTS),
+            (c_s, "surface coefficient", _CS_PRODUCTS),
+        ):
+            if value == 0.0:
+                continue
+            for i, j, product in products:
+                decades = math.log10(abs(value)) - i * math.log10(n) - j * math.log10(self.L)
+                if decades > _DECADES:
+                    raise ValueError(
+                        f"{name} {value!r} out of range at separation {self.L!r}: "
+                        f"{product} must not exceed 1e{_DECADES}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -93,12 +119,14 @@ class EnergyBreakdown:
     """Energy per unit plate area, split by origin.
 
     ``beyond_validity`` marks results computed outside the dispersion
-    model's trust region (separation at or below 2*pi*sqrt(n1), or a
-    clamped lower integration limit); the numbers remain evaluable
-    mathematics and are reported anyway.  ``force`` and ``force_error``
-    hold -d(total)/dL and its error where the route that made the
-    breakdown computed them in the same evaluation, as the quadrature
-    routes do; the closed form leaves them to ``force_analytic``.
+    model's trust region (separation at or below 2*pi*sqrt(n1)); the
+    numbers remain evaluable mathematics and are reported anyway.
+    ``force`` and ``force_error`` hold -d(total)/dL and its error where the
+    route that made the breakdown computed them in the same evaluation, as
+    the quadrature routes do; the closed form leaves them to
+    ``force_analytic``.  ``model_error`` bounds what the model itself leaves
+    out, apart from ``error_estimate``: the first-order part of the
+    full-kappa_1 energy past the peak of kappa_1, where its window ends.
     """
 
     e0: float
@@ -110,6 +138,7 @@ class EnergyBreakdown:
     beyond_validity: bool = False
     force: Optional[float] = None
     force_error: Optional[float] = None
+    model_error: float = 0.0
 
 
 def e0_analytic(L: float, n0: float) -> float:

@@ -26,20 +26,25 @@ correction, matching the closed forms: c0/(2*pi^2*n0*L^3) and
 n1*c1/(2*pi^2*n0^4*L^5), with the pure numbers c0 = int I(u, 1) du and
 c1 = int u^4 log(1 - e^(-2u)) du integrated once per ``QuadratureSpec``,
 so the error estimates are relative at every separation.  FULL_KAPPA1
-keeps the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit.  Past the
-turnover of kappa_1 the model is out of its domain (and the untruncated
-integral would diverge), so the evaluation is defined on the truncation
-window and any clamping of kappa_1 raises the beyond-validity flag.
+keeps the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit, so that
+kappa_1*L = u - g*u^3 with g = n1/(n0^3*L^2), and the correction is
+F(g)/(2*pi^2*n0*L^3).  Past the peak of kappa_1, at u_t = 1/sqrt(3g), the
+model is out of its domain, so the window ends there when u_t < u_max; the
+first-order part it drops is reported as a model error, and the
+beyond-validity flag is the trust region's alone.  F(g) and F'(g) are read
+from Chebyshev interpolants built once per ``QuadratureSpec``.
 
 Every outer integral goes through one node rule: tanh-sinh quadrature
 (Takahashi & Mori 1974) on panels that break wherever the integrand is not
-smooth (the kappa_1 turnover, the knots of a table), with the nodes of all
-panels evaluated as one array per refinement level.  QUADPACK only backs
-the independent oracle ``inner_integral_quadrature``.
+smooth (the knots of a table), with the nodes of all panels evaluated as
+one array per refinement level.  QUADPACK only backs the independent
+oracle ``inner_integral_quadrature``.
 
-The force is the exact -dE/dL of the windowed energy, from the same pass:
-at fixed xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x^2*log(1 - e^(-2x)) - 2*I(x, 1),
-and the window, fixed in u, shrinks in xi as L grows, so
+The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
+is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table it comes
+from the energy's pass: at fixed xi,
+L^3 * dI(kappa_1, L)/dL = G(x) = -x^2*log(1 - e^(-2x)) - 2*I(x, 1), and the
+window, fixed in u, shrinks in xi as L grows, so
 dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
 """
 
@@ -327,7 +332,7 @@ def _force_tail_bound(u_max: float) -> float:
 def _slope_integrand(x: np.ndarray, inner: np.ndarray) -> np.ndarray:
     # G(x) = L^3 * dI(kappa_1, L)/dL at fixed xi, with x = kappa_1*L and
     # I(kappa_1, L) = I(x, 1)/L^2: -x^2*log(1 - e^(-2x)) - 2*I(x, 1), given
-    # ``inner`` = I(x, 1).  x^2*log(1 - e^(-2x)) tends to 0 at a clamped x = 0.
+    # ``inner`` = I(x, 1).  x^2*log(1 - e^(-2x)) tends to 0 at x = 0.
     log = np.zeros_like(x)
     positive = x > 0.0
     log[positive] = log_one_minus_exp(2.0 * x[positive])
@@ -391,64 +396,213 @@ def delta_e_lifshitz_full(
 ) -> tuple[Estimate, bool]:
     """Dispersive part of the full-kappa_1 energy, all orders in n1.
 
-    Integrates the pointwise difference I(kappa_1*L, 1) - I(u, 1) over the
-    same window as ``e0_lifshitz``, which keeps the small correction free
-    of cancellation against the leading term.  Returns the estimate and
-    whether kappa_1 was clamped anywhere in the window.
+    F(g)/(2*pi^2*n0*L^3), with F(g) = int_0^U [I(u - g*u^3, 1) - I(u, 1)] du
+    and g = n1/(n0^3*L^2): the pointwise difference keeps the small
+    correction free of cancellation against the leading term.  The window
+    ends at U = min(u_max, u_t), where u_t = 1/sqrt(3g) is the peak of
+    kappa_1.  Returns the estimate and whether the window ended at the
+    peak (u_t < u_max).
     """
-    delta, _, clamped = _full_kappa1(L, model, quad)
-    return delta, clamped
+    delta, _, peak, _ = _full_kappa1(L, model, quad)
+    return delta, peak
+
+
+# F(g) and F'(g) come from Chebyshev interpolants of F(g)/g and F'(g),
+# built once per QuadratureSpec, on two pieces.  Piece 0 takes g in
+# [0, g_k], g_k = 1/(3*u_max^2), where the window is [0, u_max] and both
+# are smooth in g down to g = 0.  Piece 1 takes the window's end U = u_t in
+# [_U_MIN, u_max], where both are smooth in log U.  Below U = 3 the
+# coefficients decay too slowly, so rows with g > 1/(3*_U_MIN^2), outside
+# the trust region for every n0 >= 0.9, integrate directly.  The node
+# counts leave the last coefficients at the samples' noise, about 1e-13
+# and 1e-15 of the first.
+_U_MIN = 3.0
+_PIECE_NODES = (20, 32)
+
+
+def _full_samples(
+    g: np.ndarray, quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # F(g), its error, F'(g) and its error for an array of g > 0, from one
+    # node pass: u = U*s maps each window [0, U] onto s in [0, 1], so every
+    # g shares the nodes and the pass costs little more than one g alone.
+    # With x = u - g*u^3, dI(x, 1)/dg = u^3*x*log(1 - e^(-2x)), and where
+    # U = u_t the window's end moves by dU/dg = -U/(2g) = -1.5*U^3, at which
+    # x(U) = 2U/3.  On the window x >= 2u/3, so kappa_1 is never clamped.
+    u_max = quad.u_max
+    peak = 3.0 * g * u_max * u_max > 1.0
+    U = np.where(peak, 1.0 / np.sqrt(3.0 * g), u_max)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        u = U[:, None] * s
+        x = u - g[:, None] * u**3
+        # one polylogarithm pass over both lower limits
+        both = inner_integral(np.concatenate((x.ravel(), u.ravel())), 1.0)
+        energy = (both[: x.size] - both[x.size :]).reshape(x.shape)
+        return np.concatenate((energy, u**3 * x * log_one_minus_exp(2.0 * x)))
+
+    estimates = _integrate(integrand, (0.0, 1.0), quad)
+    value = np.array([e.value for e in estimates]).reshape(2, -1) * U
+    error = np.array([e.error for e in estimates]).reshape(2, -1) * U
+    end, start = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
+    slope = value[1] - np.where(peak, 1.5 * U**3 * (end - start), 0.0)
+    # the differences round on the scale of I(u, 1), whose integral is c0
+    rounding = _ROUNDING * abs(_e0_number(quad).value)
+    return value[0], error[0] + rounding, slope, error[1]
+
+
+class _Chebyshev(NamedTuple):
+    # interpolants of F(g)/g and F'(g) in v on [lo, hi], with their errors
+    lo: float
+    hi: float
+    ratio: list
+    slope: list
+    errors: tuple[float, float]
+
+    def __call__(self, v: float) -> tuple[float, float]:
+        t = (2.0 * v - self.lo - self.hi) / (self.hi - self.lo)
+        return _clenshaw(self.ratio, t), _clenshaw(self.slope, t)
+
+
+def _clenshaw(coefficients: list, t: float) -> float:
+    # sum of coefficients[k]*T_k(t)
+    b1 = b2 = 0.0
+    for a in coefficients[:0:-1]:
+        b1, b2 = 2.0 * t * b1 - b2 + a, b1
+    return t * b1 - b2 + coefficients[0]
+
+
+@cache
+def _full_piece(quad: QuadratureSpec, piece: int) -> _Chebyshev:
+    u_max = quad.u_max
+    if piece == 0:
+        lo, hi = 0.0, 1.0 / (3.0 * u_max * u_max)
+    else:
+        lo, hi = math.log(_U_MIN), math.log(u_max)
+    count = _PIECE_NODES[piece]
+    # Chebyshev points of the first kind, which leave out g = 0
+    angles = np.pi * (np.arange(count) + 0.5) / count
+    v = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
+    g = v if piece == 0 else np.exp(-2.0 * v) / 3.0
+    raw, raw_error, slope, slope_error = _full_samples(g, quad)
+    ratio, ratio_error = raw / g, raw_error / g
+    # coefficients from the discrete cosine transform on the nodes; the
+    # interpolant's error is twice the last coefficients (the tail the
+    # nodes alias) plus the Lebesgue constant of the nodes times the
+    # largest sample error
+    transform = np.cos(np.outer(np.arange(count), angles)) * (2.0 / count)
+    transform[0] *= 0.5
+    lebesgue = 2.0 / math.pi * math.log(count) + 1.0
+    fits, errors = [], []
+    for values, sample_error in ((ratio, ratio_error), (slope, slope_error)):
+        coefficients = transform @ values
+        fits.append(coefficients.tolist())
+        errors.append(
+            2.0 * float(np.abs(coefficients[-4:]).sum())
+            + lebesgue * float(sample_error.max())
+        )
+    return _Chebyshev(lo, hi, fits[0], fits[1], tuple(errors))
+
+
+def _full_numbers(g: float, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
+    # (F(g), F'(g)) of a g > 0: interpolated where a piece covers g,
+    # integrated directly past them, plus, where the window ends at u_max
+    # short of the peak, a bound on what it drops
+    u_max = quad.u_max
+    if 3.0 * g * u_max * u_max <= 1.0:
+        piece, v = _full_piece(quad, 0), g
+    elif 3.0 * g * _U_MIN * _U_MIN <= 1.0:
+        piece, v = _full_piece(quad, 1), -0.5 * math.log(3.0 * g)
+    else:
+        samples = _full_samples(np.array([g]), quad)
+        raw, raw_error, slope, slope_error = (float(a[0]) for a in samples)
+        return Estimate(raw, raw_error), Estimate(slope, slope_error)
+    ratio, slope = piece(v)
+    ratio_error, slope_error = piece.errors
+    raw_tail, slope_tail = _window_tail_bound(g, u_max)
+    rounding = _ROUNDING * abs(_e0_number(quad).value)
+    return (
+        Estimate(g * ratio, g * ratio_error + rounding + raw_tail),
+        Estimate(slope, slope_error + slope_tail),
+    )
+
+
+def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
+    # Where the window stops at u_max short of the peak u_t, bounds on what
+    # F(g) and F'(g) drop: the integrals over [u_max, u_t] and, for F', the
+    # moving end's term.  There x = u - g*u^3 lies in [2u/3, u], and with
+    # f(x) = x*e^(-2x)/(1 - e^(-2x)), which falls in x:
+    # - |I(x, 1) - I(u, 1)| <= min((u - x)*f(x), |I(x, 1)|)
+    #   <= min(g*u^4/(1 - e^(-4*u_max/3)), u*zeta(2)/2 + zeta(3)/4) * e^(h(u))
+    #   with h(u) = -2u + 2g*u^3, as I(x, 1) rises to 0 in x;
+    # - |dI(x, 1)/dg| = u^3*x*|log(1 - e^(-2x))| <= u^3*f(x), below the first;
+    # - the end's term 1.5*u_t^3*|I(2*u_t/3, 1) - I(u_t, 1)|, at most
+    #   1.5*u_t^3*e^(-4*u_t/3)*(u_t*zeta(2)/3 + zeta(3)/4), which falls in u_t
+    #   once u_t >= 3, so a huge u_t may take 1e3's.
+    # h is convex, so it lies below its chord on [u_max, u_t], of slope -m,
+    # and int p(u)*e^(h(u)) du <= e^(h(u_max))*sum_k p^(k)(u_max)/m^(k+1)
+    # for the rising polynomials p here, or p(u_t) times the length.
+    if not 0.0 < 3.0 * g * u_max * u_max < 1.0:
+        return 0.0, 0.0
+    u_t = 1.0 / math.sqrt(3.0 * g)
+    start = -2.0 * u_max + 2.0 * g * u_max**3
+    span = u_t - u_max
+    rate = (start + 4.0 * u_t / 3.0) / span
+
+    def integral(derivatives: tuple, at_end: float) -> float:
+        cover = at_end * span
+        if rate > 0.0:
+            series = 0.0
+            for derivative in reversed(derivatives):
+                series = (derivative + series) / rate
+            cover = min(cover, series)
+        return math.exp(start) * cover
+
+    U = u_max
+    quartic = integral(
+        (U**4, 4.0 * U**3, 12.0 * U**2, 24.0 * U, 24.0), u_t * u_t * u_t * u_t
+    ) / -math.expm1(-4.0 * u_max / 3.0)
+    linear = integral(
+        (U * ZETA_VALUES[2] / 2.0 + ZETA_VALUES[3] / 4.0, ZETA_VALUES[2] / 2.0),
+        u_t * ZETA_VALUES[2] / 2.0 + ZETA_VALUES[3] / 4.0,
+    )
+    end = min(u_t, 1e3)
+    edge = 1.5 * end**3 * math.exp(-4.0 * end / 3.0) * (
+        end * ZETA_VALUES[2] / 3.0 + ZETA_VALUES[3] / 4.0
+    )
+    return min(g * quartic, linear), quartic + edge
 
 
 def _full_kappa1(
     L: float, model: DispersionModel, quad: QuadratureSpec
-) -> tuple[Estimate, Estimate, bool]:
-    # (delta_e, its share of the force, clamped).  With G from
-    # ``_slope_integrand`` and x_U = x(u_max), the share is
-    # -[int (G(x) - G(u)) du - u_max*(I(x_U, 1) - I(u_max, 1))]/(2*pi^2*n0*L^4):
-    # the exact -d(delta_e)/dL on the fixed window, integrated with the
-    # energy on the same nodes.  The dispersion-free part, from
-    # int_0^U G(u) du - U*I(U, 1) = -3*c0, is 3*e0/L, whose error (3/L times
-    # e0's) also bounds that part's tail; as for the energy, no tail is
-    # added for the difference.
+) -> tuple[Estimate, Estimate, bool, float]:
+    # (delta_e, its share of the force, whether the window ended at the
+    # peak, the model error).  delta_e = F(g)/(2*pi^2*n0*L^3) and, as
+    # dg/dL = -2g/L, its share is exactly -d(delta_e)/dL =
+    # (3F + 2g*F')/(2*pi^2*n0*L^4).  Past the peak the model is out of its
+    # domain; the model error bounds the first-order part dropped there.
     if not L > 0.0:
         raise ValueError(f"separation must be positive, got {L}")
     n0, n1 = cauchy_coefficients(model)
-    if n1 == 0.0:
-        return Estimate(0.0, 0.0), Estimate(0.0, 0.0), False
-    u_max = quad.u_max
-    clamped = False
-    edge = None  # I(x(u_max), 1) - I(u_max, 1), from the first level's pass
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        nonlocal clamped, edge
-        size = u.size
-        if edge is None:  # the first level's pass also takes the window's end
-            u = np.append(u, u_max)
-        low = kappa_lower(model, u / (n0 * L))
-        # one polylogarithm pass over both lower limits
-        x = np.concatenate((low.value * L, u))
-        both = inner_integral(x, 1.0)
-        energy = both[: u.size] - both[u.size :]
-        slope = _slope_integrand(x, both)
-        slope = slope[: u.size] - slope[u.size :]
-        if edge is None:
-            edge = float(energy[-1])
-        # the window's end is no node: its clamp and values stay out
-        clamped = clamped or bool(np.any(low.raw[:size] < 0.0))
-        return np.stack((energy[:size], slope[:size]))
-
-    # kappa_1 reaches zero at u_c = n0*L*sqrt(n0/n1) and is clamped past it
-    turnover = n0 * L * math.sqrt(n0 / n1)
-    breaks = (0.0, turnover, u_max) if turnover < u_max else (0.0, u_max)
-    raw, raw_slope = _integrate(integrand, breaks, quad)
-    # the differences round on the scale of I(u, 1) and G(u), whose
-    # integrals are c0 and about -3*c0, not on their own
-    rounding = _ROUNDING * abs(_e0_number(quad).value)
+    g = n1 / (n0**3 * L**2)
+    if g == 0.0:
+        return Estimate(0.0, 0.0), Estimate(0.0, 0.0), False, 0.0
+    raw, slope = _full_numbers(g, quad)
     scale = 1.0 / (_TWO_PI_SQ * n0 * L**3)
-    delta = _scaled(Estimate(raw.value, raw.error + rounding), scale)
-    slope = Estimate(raw_slope.value - u_max * edge, raw_slope.error + 3.0 * rounding)
-    return delta, _scaled(slope, -scale / L), clamped
+    delta = _scaled(raw, scale)
+    shift = Estimate(
+        (3.0 * raw.value + 2.0 * g * slope.value) * scale / L,
+        (3.0 * raw.error + 2.0 * g * slope.error) * scale / L,
+    )
+    peak = 3.0 * g * quad.u_max**2 > 1.0
+    model_error = 0.0
+    if peak:
+        # int_{u_t}^inf |u^4*log(1 - e^(-2u))| du is at most the whole
+        # integral, pi^6/1260, and below _delta_tail_bound(u_t) for u_t >= 1
+        u_t = 1.0 / math.sqrt(3.0 * g)
+        dropped = min(_delta_tail_bound(max(u_t, 1.0)), math.pi**6 / 1260.0)
+        model_error = g * dropped * scale
+    return delta, shift, peak, model_error
 
 
 def _tabulated_full(
@@ -500,6 +654,7 @@ def total_energy_lifshitz(
     model = scenario.model
     e_s = surface_energy(L, scenario.surface) if scenario.surface else 0.0
 
+    model_error = 0.0
     if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):
         # sampled data has no closed trust region, so nothing to flag
         e0, force = _tabulated_full(L, model, quad)
@@ -511,13 +666,13 @@ def total_energy_lifshitz(
         # e0 = c0/(2*pi^2*n0*L^3) gives -de0/dL = 3*e0/L exactly
         leading = _scaled(e0, 3.0 / L)
         if mode is Mode.FULL_KAPPA1:
-            delta, shift, clamped = _full_kappa1(L, model, quad)
+            delta, shift, _, model_error = _full_kappa1(L, model, quad)
         else:
-            delta, clamped = delta_e_lifshitz_first_order(L, model, quad), False
+            delta = delta_e_lifshitz_first_order(L, model, quad)
             # delta_e goes as 1/L^5
             shift = _scaled(delta, 5.0 / L)
         force = Estimate(leading.value + shift.value, leading.error + shift.error)
-        flagged = clamped or not validity(model).is_valid_at(L)
+        flagged = not validity(model).is_valid_at(L)
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
 
@@ -532,6 +687,7 @@ def total_energy_lifshitz(
         # e_s = c_s/L^4
         force=force.value + 4.0 * e_s / L,
         force_error=force.error,
+        model_error=model_error,
     )
 
 

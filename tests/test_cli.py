@@ -559,6 +559,22 @@ class TestOutOfRangeInput:
         assert (code, out) == (2, "")
         assert err == f"error: {message} must lie within 1e-300 and 1e300\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cs", "1e300", "--method", "both", "--format", "json"],
+             "surface coefficient 1e+300 out of range at separation 0.001: c_s/L^4"),
+            (["--n1", "1e300", "--method", "analytic", "--format", "csv"],
+             "dispersion coefficient 1e+300 out of range at separation 0.001: n1/(n0^4*L^5)"),
+        ],
+        ids=["huge-cs", "huge-n1"],
+    )
+    def test_overflowing_numerator(self, capsys, flags, message):
+        # c_s/L^4 and n1/(n0^4*L^5) overflow, which printed inf or Infinity
+        code, out, err = run_cli(capsys, "compute", "--L", "1e-3", "--n0", "1", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message} must not exceed 1e300\n"
+
     def test_edge_of_the_range_is_finite(self, capsys):
         # L^6 = 1e-300 is inside: every printed number is finite
         code, out, err = run_cli(

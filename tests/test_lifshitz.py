@@ -23,6 +23,7 @@ from casdisp.dispersion import (
     Tabulated,
     UnsupportedModelError,
     kappa_lower,
+    validity,
 )
 from casdisp.lifshitz import (
     DEFAULT_QUADRATURE,
@@ -280,11 +281,13 @@ def _node_rule_passes(monkeypatch, capsys, argv):
 
 class TestOnePassPerRow:
     def test_full_kappa1_row(self, monkeypatch, capsys):
+        # once the spec's interpolant of F(g) exists, a row makes no pass
         argv = [
             "compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3",
             "--method", "lifshitz", "--mode", "full", "--format", "csv",
         ]
-        assert _node_rule_passes(monkeypatch, capsys, argv) == 1
+        total_energy_lifshitz(Scenario(1.0, Cauchy(1.5, 1e-3)), mode=Mode.FULL_KAPPA1)
+        assert _node_rule_passes(monkeypatch, capsys, argv) == 0
 
     def test_tabulated_row(self, monkeypatch, capsys, tmp_path):
         table = _drude_table(3.0, 1.0)
@@ -299,9 +302,12 @@ class TestOnePassPerRow:
     @pytest.mark.parametrize("kind", ["full-kappa1", "tabulated"])
     def test_one_polylogarithm_pass_per_level(self, monkeypatch, capsys, tmp_path, kind):
         # kappa_lower and inner_integral run once per node-rule level, on
-        # arrays only: the force's boundary term rides on the first level
+        # arrays only: the force's boundary term rides on the first level.
+        # A full-kappa_1 row reads F(g) from its spec's interpolant, built
+        # here beforehand, and runs none of them.
         if kind == "full-kappa1":
             argv = ["--L", "1", "--n0", "1.5", "--n1", "1e-3", "--mode", "full"]
+            total_energy_lifshitz(Scenario(1.0, Cauchy(1.5, 1e-3)), mode=Mode.FULL_KAPPA1)
         else:
             table = _drude_table(3.0, 1.0)
             path = tmp_path / "drude.csv"
@@ -335,7 +341,7 @@ class TestOnePassPerRow:
         counted("kappa_lower", 1)
         code = main(["compute", *argv, "--method", "lifshitz", "--format", "csv"])
         assert code == 0, capsys.readouterr().err
-        assert calls["levels"] == (1 if kind == "full-kappa1" else 2)
+        assert calls["levels"] == (0 if kind == "full-kappa1" else 2)
         assert calls["inner_integral"] == calls["kappa_lower"] == calls["levels"]
         assert calls["scalar"] == 0
 
@@ -366,6 +372,8 @@ class TestNodeRule:
     @example(L_exp=0.0, n0=1.0, trust=0.99)
     @example(L_exp=0.1, n0=1.0, trust=0.4)
     def test_full_kappa1_within_estimate_of_quadpack(self, L_exp, n0, trust):
+        # the window ends at the kappa_1 peak, xi = sqrt(n0/(3*n1)), or at
+        # u_max, whichever comes first
         L = 10.0**L_exp
         model = Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2)
         u_max = DEFAULT_QUADRATURE.u_max
@@ -374,13 +382,12 @@ class TestNodeRule:
             low = kappa_lower(model, u / (n0 * L))
             return inner_integral(low.value * L, 1.0) - inner_integral(u, 1.0)
 
-        turnover = n0 * L * math.sqrt(n0 / model.n1)
-        breaks = [0.0, turnover, u_max] if turnover < u_max else [0.0, u_max]
-        raw, raw_error = _quadpack_oracle(integrand, breaks)
+        peak = n0 * L * math.sqrt(n0 / (3.0 * model.n1))
+        raw, raw_error = _quadpack_oracle(integrand, [0.0, min(peak, u_max)])
         scale = 1.0 / (2.0 * math.pi**2 * n0 * L**3)
-        node, clamped = delta_e_lifshitz_full(L, model)
+        node, at_peak = delta_e_lifshitz_full(L, model)
         assert abs(node.value - raw * scale) <= node.error + raw_error * scale
-        assert clamped == (turnover < u_max)
+        assert at_peak == (peak < u_max)
 
     @pytest.mark.parametrize("eps0, w0", [(1.7, 0.5), (3.0, 1.0), (6.0, 20.0)])
     @pytest.mark.parametrize("L", [0.5, 4.0])
@@ -496,9 +503,9 @@ class TestForce:
     @pytest.mark.parametrize(
         "L, n0, n1",
         [
-            # inside the trust region, window past the kappa_1 peak
+            # windows that end at the kappa_1 peak: inside the trust region,
             (1.96, 1.00677, 0.0108094),
-            # beyond it, turnover just outside the window
+            # and beyond it, with the peak close to u_max
             (0.0649, 2.2448, 1.351e-4),
         ],
     )
@@ -554,6 +561,103 @@ class TestForce:
         truncation = 7.0 * 2e-3**4 * abs(limit)
         limit_error = (4.0 * fine_error + coarse_error) / 3.0 + truncation
         assert abs(force.value - limit) <= force.error + limit_error
+
+
+class TestFullKappa1Interpolant:
+    """F(g) and F'(g) of the full-kappa_1 route, read from a Chebyshev interpolant."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L_exp=st.floats(min_value=-6.0, max_value=6.0),
+        n0=st.floats(min_value=1.0, max_value=3.0),
+        trust_exp=st.floats(min_value=math.log10(1.01), max_value=3.0),
+    )
+    # next to g_k = 1/(3*u_max^2), either side, and at the edge of piece 1
+    @example(L_exp=0.0, n0=1.0, trust_exp=0.7052)
+    @example(L_exp=0.0, n0=1.0, trust_exp=0.7057)
+    @example(L_exp=0.0, n0=1.0, trust_exp=math.log10(1.01))
+    def test_interpolant_within_estimate_of_direct_pass(self, L_exp, n0, trust_exp):
+        # L/(2*pi*sqrt(n1)) = 10^trust_exp, inside the trust region
+        L = 10.0**L_exp
+        n1 = (L / (2.0 * math.pi * 10.0**trust_exp)) ** 2
+        delta, shift, _, _ = lifshitz._full_kappa1(L, Cauchy(n0, n1), DEFAULT_QUADRATURE)
+        g = n1 / (n0**3 * L**2)
+        samples = lifshitz._full_samples(np.array([g]), QuadratureSpec(rel_tol=1e-13))
+        raw, raw_error, slope, slope_error = (float(a[0]) for a in samples)
+        scale = 1.0 / (2.0 * math.pi**2 * n0 * L**3)
+        assert abs(delta.value - raw * scale) <= delta.error + raw_error * scale
+        direct = (3.0 * raw + 2.0 * g * slope) * scale / L
+        direct_error = (3.0 * raw_error + 2.0 * g * slope_error) * scale / L
+        assert abs(shift.value - direct) <= shift.error + direct_error
+        # at most the bound on what a window short of the peak drops, about
+        # 1.5e-7 of the energy and 1e-6 of the force just below g_k
+        assert delta.error <= 1e-6 * abs(delta.value)
+        assert shift.error <= 1e-5 * abs(shift.value)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            1e-5,
+            # just below g_k at tail_cut 1e-16 and past it at 5e-17: the
+            # halved cut moves the window's end from u_max to the peak
+            9.6e-4,
+            # piece 1, and a direct pass with the window's end below 3
+            1.1e-3, 2e-2, 0.1,
+        ],
+    )
+    def test_halving_rel_tol_or_tail_cut_within_estimates(self, g):
+        scenario = Scenario(0.8, Cauchy(1.2, g * 1.2**3 * 0.8**2))
+        base = total_energy_lifshitz(scenario, DEFAULT_QUADRATURE, Mode.FULL_KAPPA1)
+        for spec in (
+            QuadratureSpec(rel_tol=DEFAULT_QUADRATURE.rel_tol / 2.0),
+            QuadratureSpec(tail_cut=DEFAULT_QUADRATURE.tail_cut / 2.0),
+        ):
+            other = total_energy_lifshitz(scenario, spec, Mode.FULL_KAPPA1)
+            assert abs(other.total - base.total) <= base.error_estimate + other.error_estimate
+            assert abs(other.force - base.force) <= base.force_error + other.force_error
+
+    @pytest.mark.parametrize("tail_cut", [1e-4, 1e-8, 1e-12, 1e-16])
+    @pytest.mark.parametrize(
+        "L, n0, n1",
+        [(1.0, 1.0, 1e-2), (1.0, 1.0, 0.03), (0.7, 1.5, 1e-3), (0.1, 1.0, 1e-2), (30.0, 2.0, 1.0)],
+    )
+    def test_flag_is_the_trust_region_at_every_tail_cut(self, tail_cut, L, n0, n1):
+        scenario = Scenario(L, Cauchy(n0, n1))
+        spec = QuadratureSpec(tail_cut=tail_cut)
+        breakdown = total_energy_lifshitz(scenario, spec, Mode.FULL_KAPPA1)
+        assert breakdown.beyond_validity is not validity(scenario.model).is_valid_at(L)
+
+    def test_window_no_longer_moves_with_the_tail_cut(self):
+        # L = 1, n0 = 1, n1 = 1e-2 lies inside the trust region; the window
+        # once ran past the peak and gave -0.0157, -0.0803 and -0.150 at
+        # these cuts, against -0.0141 in closed form
+        scenario = Scenario(1.0, Cauchy(1.0, 1e-2))
+        fine = total_energy_lifshitz(scenario, DEFAULT_QUADRATURE, Mode.FULL_KAPPA1)
+        for tail_cut in (1e-8, 1e-12):
+            spec = QuadratureSpec(tail_cut=tail_cut)
+            coarse = total_energy_lifshitz(scenario, spec, Mode.FULL_KAPPA1)
+            assert abs(coarse.total - fine.total) <= coarse.error_estimate + fine.error_estimate
+        closed = total_energy_analytic(scenario).total
+        # the gap is second order in r = 2*pi^2*n1/(7*n0^3*L^2), here 10.7*r^2
+        r = 2.0 * math.pi**2 * 1e-2 / 7.0
+        assert abs(fine.total - closed) <= 16.0 * r * r * abs(closed)
+
+    def test_model_error(self):
+        # zero where the window ends at u_max, short of the peak
+        below = total_energy_lifshitz(Scenario(1.0, Cauchy(1.0, 5e-4)), mode=Mode.FULL_KAPPA1)
+        assert below.model_error == 0.0
+        # at the trust edge L = 2*pi*sqrt(n1), n0 = 1, the peak is at u_t = 3.63
+        n1 = 1e-2
+        L = math.nextafter(2.0 * math.pi * math.sqrt(n1), math.inf)
+        edge = total_energy_lifshitz(Scenario(L, Cauchy(1.0, n1)), mode=Mode.FULL_KAPPA1)
+        assert not edge.beyond_validity
+        assert 0.0 < edge.model_error <= 1e-2 * abs(edge.total)
+        # it bounds the first-order part dropped past the peak, and is no
+        # part of the error estimate
+        u_t = 2.0 * math.pi / math.sqrt(3.0)
+        dropped, _ = quad(lambda u: u**4 * math.log1p(-math.exp(-2.0 * u)), u_t, math.inf)
+        assert n1 * abs(dropped) / (2.0 * math.pi**2 * L**5) <= edge.model_error
+        assert edge.error_estimate < 1e-9 * abs(edge.total)
 
 
 def _central_difference(
