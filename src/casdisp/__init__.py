@@ -29,7 +29,6 @@ from .dispersion import (
     Cauchy,
     Constant,
     DispersionModel,
-    LowerLimit,
     Tabulated,
     UnsupportedModelError,
     ValidityReport,
@@ -73,7 +72,6 @@ __all__ = [
     "EnergyBreakdown",
     "Estimate",
     "HBAR_C_JOULE_METER",
-    "LowerLimit",
     "Method",
     "Mode",
     "QuadratureError",

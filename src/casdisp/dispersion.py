@@ -5,8 +5,8 @@ n(omega) = n0 + n1*omega^2, and a user-supplied table sampled on the
 imaginary-frequency axis.  The quadratic model continues to imaginary
 frequency omega -> i*xi as kappa_1 = n0*xi - n1*xi^3, which turns over and
 goes negative beyond xi = sqrt(n0/n1); past that point the model has left
-its domain, so the lower limit is clamped at zero and the clamp is
-reported rather than silently integrated.
+its domain, so the lower limit is clamped at zero.  The full-kappa_1 route
+ends its window at the peak of kappa_1, before the clamp.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Cauchy",
     "Tabulated",
     "DispersionModel",
-    "LowerLimit",
     "ValidityReport",
     "UnsupportedModelError",
     "cauchy_coefficients",
@@ -83,19 +82,21 @@ class Tabulated:
     n: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
-        object.__setattr__(self, "n", tuple(float(v) for v in self.n))
-        if len(self.xi) != len(self.n):
+        xi = np.fromiter(self.xi, dtype=float)
+        n = np.fromiter(self.n, dtype=float)
+        object.__setattr__(self, "xi", tuple(xi.tolist()))
+        object.__setattr__(self, "n", tuple(n.tolist()))
+        if len(xi) != len(n):
             raise ValueError("xi and n columns differ in length")
-        if len(self.xi) < 2:
+        if len(xi) < 2:
             raise ValueError("need at least two samples")
-        if not all(math.isfinite(v) for v in self.xi + self.n):
+        if not (np.isfinite(xi).all() and np.isfinite(n).all()):
             raise ValueError("frequency and index samples must be finite")
-        if self.xi[0] < 0.0:
+        if xi[0] < 0.0:
             raise ValueError("frequency samples must be non-negative")
-        if any(a >= b for a, b in zip(self.xi, self.xi[1:])):
+        if np.any(xi[1:] <= xi[:-1]):
             raise ValueError("frequency samples must be strictly increasing")
-        if any(v <= 0.0 for v in self.n):
+        if np.any(n <= 0.0):
             raise ValueError("index samples must be positive")
 
     @cached_property
@@ -163,14 +164,6 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 DispersionModel = Union[Constant, Cauchy, Tabulated]
 
 
-class LowerLimit(NamedTuple):
-    """Lower integration limit kappa_1 = n(i*xi)*xi with clamp bookkeeping."""
-
-    value: float
-    raw: float
-    clamped: bool
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     """Trust region of the quadratic dispersion model.
@@ -187,30 +180,22 @@ class ValidityReport:
         return separation > self.min_separation
 
 
-def kappa_lower(model: DispersionModel, xi) -> LowerLimit:
+def kappa_lower(model: DispersionModel, xi):
     """Lower limit n(i*xi)*xi of the momentum integration at imaginary frequency xi.
 
-    For the quadratic model this is n0*xi - n1*xi^3, clamped below at zero;
-    ``clamped`` is set whenever the raw value went negative, i.e. the model
-    was evaluated beyond its turnover.  ``xi`` may be a scalar, which gives
-    floats, or an array, which gives arrays and sets ``clamped`` when any
-    element was clamped.
+    For the quadratic model this is n0*xi - n1*xi^3, clamped below at zero
+    past its turnover at xi = sqrt(n0/n1), where the model has left its
+    domain.  ``xi`` may be a scalar, which gives a float, or an array.
     """
     if not np.all(np.asarray(xi) >= 0.0):
         raise ValueError(f"imaginary frequency must be non-negative, got {xi}")
     if isinstance(model, Constant):
-        value = model.n0 * xi
-        return LowerLimit(value, value, False)
+        return model.n0 * xi
     if isinstance(model, Cauchy):
         # left-assoc product keeps n1 = 0 exact even for huge xi
-        raw = model.n0 * xi - model.n1 * xi * xi * xi
-        below = raw < 0.0
-        value = np.where(below, 0.0, raw)
-        if np.ndim(xi) == 0:
-            value = float(value)
-        return LowerLimit(value, raw, bool(np.any(below)))
-    value = model.index_at(xi) * xi
-    return LowerLimit(value, value, False)
+        value = np.maximum(model.n0 * xi - model.n1 * xi * xi * xi, 0.0)
+        return float(value) if np.ndim(xi) == 0 else value
+    return model.index_at(xi) * xi
 
 
 def cauchy_coefficients(model: DispersionModel) -> tuple[float, float]:
@@ -244,13 +229,15 @@ def load_index_table(path) -> Tabulated:
     n: list[float] = []
     with open(path, newline="") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected two columns")
             try:
                 x, v = float(row[0]), float(row[1])
-            except ValueError:
+            except (IndexError, ValueError):
+                # a blank line is skipped, a short one is an error, and an
+                # unparsable first line is a header
+                if all(not cell.strip() for cell in row):
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"{path}: line {lineno}: expected two columns") from None
                 if lineno == 1:
                     continue
                 raise ValueError(

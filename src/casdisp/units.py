@@ -29,7 +29,11 @@ class UnitMode(Enum):
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Output unit choice; SI mode needs the meter value of the length unit."""
+    """Output unit choice; SI mode needs the meter value of the length unit.
+
+    The unit must lie within 1e-75 and 1e75 meters, so that its cube and
+    fourth power, which the conversion divides by, stay within 1e+-300.
+    """
 
     mode: UnitMode = UnitMode.NATURAL
     length_unit_in_meters: Optional[float] = None
@@ -39,6 +43,11 @@ class UnitSystem:
             unit = self.length_unit_in_meters
             if unit is None or not 0.0 < unit < math.inf:
                 raise ValueError("SI output needs a positive, finite length unit in meters")
+            if 4.0 * abs(math.log10(unit)) > 300.0:
+                raise ValueError(
+                    f"length unit {unit!r} out of range: unit^3 and unit^4 "
+                    "must lie within 1e-300 and 1e300"
+                )
 
 
 def convert_units(

@@ -575,6 +575,21 @@ class TestOutOfRangeInput:
         assert (code, out) == (2, "")
         assert err == f"error: {message} must not exceed 1e300\n"
 
+    @pytest.mark.parametrize(
+        "unit, shown", [("1e-120", "1e-120"), ("1e300", "1e+300")], ids=["tiny", "huge"]
+    )
+    def test_length_unit(self, capsys, unit, shown):
+        # unit^3 underflowed to a ZeroDivisionError, or overflowed
+        code, out, err = run_cli(
+            capsys, "compute", "--L", "1", "--n0", "1", "--si", "--length-unit", unit,
+            "--method", "analytic", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: length unit {shown} out of range: unit^3 and unit^4 "
+            "must lie within 1e-300 and 1e300\n"
+        )
+
     def test_edge_of_the_range_is_finite(self, capsys):
         # L^6 = 1e-300 is inside: every printed number is finite
         code, out, err = run_cli(

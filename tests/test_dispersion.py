@@ -60,20 +60,15 @@ class TestIndexOfRealFrequency:
 
 class TestKappaLower:
     def test_quadratic_model(self):
-        low = kappa_lower(Cauchy(1.5, 0.01), 2.0)
-        assert low.value == pytest.approx(2.92)
-        assert not low.clamped
+        assert kappa_lower(Cauchy(1.5, 0.01), 2.0) == pytest.approx(2.92)
 
     def test_zero_frequency(self):
-        low = kappa_lower(Cauchy(1.3, 0.25), 0.0)
-        assert low.value == 0.0
-        assert not low.clamped
+        assert kappa_lower(Cauchy(1.3, 0.25), 0.0) == 0.0
 
     def test_clamp_beyond_turnover(self):
-        low = kappa_lower(Cauchy(1.0, 1.0), 2.0)
-        assert low.value == 0.0
-        assert low.clamped
-        assert low.raw == pytest.approx(-6.0)
+        # n0*xi - n1*xi^3 = -6 at xi = 2, past the turnover at xi = 1
+        assert kappa_lower(Cauchy(1.0, 1.0), 2.0) == 0.0
+        assert kappa_lower(Cauchy(1.0, 1.0), 0.5) == 0.375
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -81,9 +76,7 @@ class TestKappaLower:
 
     def test_tabulated(self):
         table = Tabulated((0.0, 1.0, 2.0), (1.5, 1.4, 1.3))
-        low = kappa_lower(table, 1.0)
-        assert low.value == pytest.approx(1.4)
-        assert not low.clamped
+        assert kappa_lower(table, 1.0) == pytest.approx(1.4)
 
     @given(n0=st.floats(min_value=0.5, max_value=4.0), xi=finite_xi)
     def test_constant_equals_dispersion_free_quadratic_bitwise(self, n0, xi):
@@ -91,13 +84,13 @@ class TestKappaLower:
 
     @given(n0=st.floats(min_value=0.5, max_value=4.0), xi=finite_xi)
     def test_dispersion_free_is_linear(self, n0, xi):
-        assert kappa_lower(Cauchy(n0, 0.0), xi).value == n0 * xi
+        assert kappa_lower(Cauchy(n0, 0.0), xi) == n0 * xi
 
     def test_continuity_bound(self):
         model = Cauchy(1.5, 1e-3)
         h = 1e-4
         for xi in (0.0, 0.5, 1.0, 5.0, 10.0):
-            step = abs(kappa_lower(model, xi + h).value - kappa_lower(model, xi).value)
+            step = abs(kappa_lower(model, xi + h) - kappa_lower(model, xi))
             bound = (1.5 + 3e-3 * xi**2 + 3e-3 * xi * h + 1e-3 * h * h) * h
             assert step <= bound * (1.0 + 1e-12)
 
@@ -112,25 +105,23 @@ class TestArrayArguments:
     )
     def test_kappa_lower_array_matches_scalar_calls(self, model):
         low = kappa_lower(model, self.XI)
-        assert low.value.shape == low.raw.shape == self.XI.shape
+        assert low.shape == self.XI.shape
         scalars = [kappa_lower(model, float(x)) for x in self.XI]
-        assert list(low.value) == [s.value for s in scalars]
-        assert list(low.raw) == [s.raw for s in scalars]
-        assert low.clamped == any(s.clamped for s in scalars)
-        assert all(type(v) is float for s in scalars for v in (s.value, s.raw))
+        assert list(low) == scalars
+        assert all(type(v) is float for v in scalars)
 
     @pytest.mark.parametrize("n0, n1", [(1.0, 1e-2), (1.5, 0.1), (2.0, 1e-4)])
     def test_clamped_iff_some_node_past_turnover(self, n0, n1):
-        # kappa_1 = n0*xi - n1*xi^3 reaches zero at sqrt(n0/n1)
+        # kappa_1 = n0*xi - n1*xi^3 reaches zero at sqrt(n0/n1), and is
+        # clamped at zero past it and nowhere before it
         turnover = math.sqrt(n0 / n1)
         model = Cauchy(n0, n1)
         below = np.linspace(0.0, 0.999 * turnover, 50)
-        past = np.append(below, 1.001 * turnover)
-        assert not kappa_lower(model, below).clamped
+        past = np.append(below, [1.001 * turnover, 3.0 * turnover])
         low = kappa_lower(model, past)
-        assert low.clamped
-        assert low.value[-1] == 0.0 and low.raw[-1] < 0.0
-        assert np.all(low.value[:-1] == low.raw[:-1])
+        assert np.all(low[:-2] == n0 * below - n1 * below * below * below)
+        assert np.all(low[1:-2] > 0.0)
+        assert list(low[-2:]) == [0.0, 0.0]
 
     def test_negative_element_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +244,24 @@ class TestLoadIndexTable:
         path.write_text("0.0,1.5\noops,1.4\n")
         with pytest.raises(ValueError, match="line 2"):
             load_index_table(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "index.csv"
+        path.write_text("xi,n\n\n0.0,1.5\n , \n1.0,1.4\n\n")
+        table = load_index_table(path)
+        assert (table.xi, table.n) == ((0.0, 1.0), (1.5, 1.4))
+        assert all(type(v) is float for v in table.xi + table.n)
+
+    @pytest.mark.parametrize(
+        "text, line", [("xi,n\n0,1.5\n1\n", 3), ("xi\n0,1.5\n1,1.4\n", 1)],
+        ids=["short-row", "short-header"],
+    )
+    def test_short_row_reported_with_line_number(self, tmp_path, text, line):
+        path = tmp_path / "index.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_index_table(path)
+        assert str(caught.value) == f"{path}: line {line}: expected two columns"
 
     @pytest.mark.parametrize(
         "rows, rule",

@@ -87,6 +87,19 @@ def test_table_run_loads_neither_scipy_nor_mpmath(drude_table):
     assert loaded == []
 
 
+def test_table_run_leaves_numpy_ma_unloaded(drude_table):
+    # numpy.ma costs about 10 ms and 1.5 MB of a process's first table row
+    # (np.unique, for one, imports it on its first call)
+    probe = PROBE.replace('m.split(".")[0] in ("scipy", "mpmath")', 'm.split(".")[:2] == ["numpy", "ma"]')
+    assert probe != PROBE
+    code, loaded = json.loads(_run(
+        probe, "compute", "--L", "0.5", "--ns-table", drude_table, "--method", "lifshitz",
+        "--format", "csv",
+    ))
+    assert code == 0
+    assert loaded == []
+
+
 def test_validate_loads_neither_scipy_nor_mpmath():
     code, loaded = _loaded_after("validate")
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,8 @@ from casdisp.lifshitz import (
     QuadratureError,
     QuadratureSpec,
     _integrate,
+    _integrate_panels,
+    _tabulated_full,
     delta_e_lifshitz_first_order,
     delta_e_lifshitz_full,
     e0_lifshitz,
@@ -98,8 +101,8 @@ class TestInnerIntegral:
     def test_integrand_point_invariants(self):
         # one sample of the full-kappa_1 outer integrand: xi = 2 at L = 1
         low = kappa_lower(Cauchy(1.5, 1e-3), 2.0)
-        assert low.value >= 0.0
-        assert inner_integral(low.value, 1.0) <= 0.0
+        assert low >= 0.0
+        assert inner_integral(low, 1.0) <= 0.0
 
 
 class TestLeadingOrder:
@@ -260,19 +263,29 @@ class TestScaleFreeSplit:
         assert 1 <= len(passes) <= 2
 
 
+def _count_passes(monkeypatch, passes: list) -> None:
+    # record the node count of every pass of either node rule: tanh-sinh
+    # levels of lifshitz._integrate and Gauss-Kronrod passes of
+    # lifshitz._integrate_panels
+    for name in ("_integrate", "_integrate_panels"):
+        rule = getattr(lifshitz, name)
+
+        def counting(integrand, breaks, spec, rule=rule):
+            def counted(u):
+                passes.append(u.size)
+                return integrand(u)
+
+            return rule(counted, breaks, spec)
+
+        monkeypatch.setattr(lifshitz, name, counting)
+
+
 def _node_rule_passes(monkeypatch, capsys, argv):
-    # node-rule passes (calls of lifshitz._integrate) that one CLI command
-    # makes once c0 and c1 are cached
+    # node passes that one CLI command makes once c0 and c1 are cached
     lifshitz._e0_number(DEFAULT_QUADRATURE)
     lifshitz._delta_number(DEFAULT_QUADRATURE)
     passes = []
-    node_rule = lifshitz._integrate
-
-    def counting(integrand, breaks, spec):
-        passes.append(breaks)
-        return node_rule(integrand, breaks, spec)
-
-    monkeypatch.setattr(lifshitz, "_integrate", counting)
+    _count_passes(monkeypatch, passes)
     code = main(argv)
     assert code == 0, capsys.readouterr().err
     assert len(capsys.readouterr().out.splitlines()) == 2
@@ -301,8 +314,8 @@ class TestOnePassPerRow:
 
     @pytest.mark.parametrize("kind", ["full-kappa1", "tabulated"])
     def test_one_polylogarithm_pass_per_level(self, monkeypatch, capsys, tmp_path, kind):
-        # kappa_lower and inner_integral run once per node-rule level, on
-        # arrays only: the force's boundary term rides on the first level.
+        # kappa_lower and inner_integral run once per node-rule pass, on
+        # arrays only: the force's boundary term rides on the first pass.
         # A full-kappa_1 row reads F(g) from its spec's interpolant, built
         # here beforehand, and runs none of them.
         if kind == "full-kappa1":
@@ -312,17 +325,10 @@ class TestOnePassPerRow:
             table = _drude_table(3.0, 1.0)
             path = tmp_path / "drude.csv"
             path.write_text("".join(f"{x!r},{n!r}\n" for x, n in zip(table.xi, table.n)))
-            # a tight tolerance takes this row to a second level
-            argv = ["--L", "0.5", "--ns-table", str(path), "--rel-tol", "1e-13"]
-        calls = {"levels": 0, "inner_integral": 0, "kappa_lower": 0, "scalar": 0}
-        node_rule = lifshitz._integrate
-
-        def counting_rule(integrand, breaks, spec):
-            def level(u):
-                calls["levels"] += 1
-                return integrand(u)
-
-            return node_rule(level, breaks, spec)
+            # a tight tolerance makes the panel rule bisect for this row
+            argv = ["--L", "4", "--ns-table", str(path), "--rel-tol", "1e-13"]
+        calls = {"inner_integral": 0, "kappa_lower": 0, "scalar": 0}
+        passes = []
 
         def counted(name, position):
             original = getattr(lifshitz, name)
@@ -336,19 +342,20 @@ class TestOnePassPerRow:
 
         lifshitz._e0_number(QuadratureSpec(rel_tol=1e-13))
         lifshitz._e0_number(DEFAULT_QUADRATURE)
-        monkeypatch.setattr(lifshitz, "_integrate", counting_rule)
+        _count_passes(monkeypatch, passes)
         counted("inner_integral", 0)
         counted("kappa_lower", 1)
         code = main(["compute", *argv, "--method", "lifshitz", "--format", "csv"])
         assert code == 0, capsys.readouterr().err
-        assert calls["levels"] == (0 if kind == "full-kappa1" else 2)
-        assert calls["inner_integral"] == calls["kappa_lower"] == calls["levels"]
+        assert len(passes) == (0 if kind == "full-kappa1" else 2)
+        assert calls["inner_integral"] == calls["kappa_lower"] == len(passes)
         assert calls["scalar"] == 0
 
 
-def _drude_table(eps0: float, w0: float, samples: int = 40) -> Tabulated:
-    # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on xi_k = 40*(k/(samples-1))^2
-    xi = [40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
+def _drude_table(eps0: float, w0: float, samples: int = 40, start: float = 0.0) -> Tabulated:
+    # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on
+    # xi_k = start + 40*(k/(samples-1))^2
+    xi = [start + 40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
     n = [math.sqrt(1.0 + (eps0 - 1.0) / (1.0 + (x / w0) ** 2)) for x in xi]
     return Tabulated(xi, n)
 
@@ -380,7 +387,7 @@ class TestNodeRule:
 
         def integrand(u):
             low = kappa_lower(model, u / (n0 * L))
-            return inner_integral(low.value * L, 1.0) - inner_integral(u, 1.0)
+            return inner_integral(low * L, 1.0) - inner_integral(u, 1.0)
 
         peak = n0 * L * math.sqrt(n0 / (3.0 * model.n1))
         raw, raw_error = _quadpack_oracle(integrand, [0.0, min(peak, u_max)])
@@ -397,7 +404,7 @@ class TestNodeRule:
         u_max = DEFAULT_QUADRATURE.u_max
 
         def integrand(u):
-            return inner_integral(kappa_lower(table, u / (n * L)).value * L, 1.0)
+            return inner_integral(kappa_lower(table, u / (n * L)) * L, 1.0)
 
         knots = [n * L * xi for xi in table.xi if 0.0 < n * L * xi < u_max]
         raw, raw_error = _quadpack_oracle(integrand, [0.0, *knots, u_max])
@@ -456,6 +463,86 @@ class TestNodeRule:
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
             _integrate(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
+
+
+class TestPanelRule:
+    def test_smooth_integral_over_panels(self):
+        estimate = _integrate_panels(np.exp, (0.0, 0.3, 1.0, 1.5, 2.0), QuadratureSpec())
+        exact = math.expm1(2.0)
+        assert abs(estimate.value - exact) <= 1e-15 * exact
+        assert abs(estimate.value - exact) <= estimate.error
+
+    def test_stacked_integrands_stop_together(self, monkeypatch):
+        # exp converges in one pass and the peaked component needs
+        # bisections; the stack bisects until both have converged, so it
+        # makes the peaked one's passes and gives it as it is alone
+        spec = QuadratureSpec()
+
+        def peaked(u):
+            return 1.0 / (1e-2 + (u - 0.37) ** 2)
+
+        def passes_of(integrand):
+            passes = []
+            with monkeypatch.context() as patch:
+                _count_passes(patch, passes)
+                result = lifshitz._integrate_panels(integrand, (0.0, 1.0, 2.0), spec)
+            return result, len(passes)
+
+        (easy, hard), stacked = passes_of(lambda u: np.stack((np.exp(u), peaked(u))))
+        alone, peaked_passes = passes_of(peaked)
+        assert passes_of(np.exp)[1] == 1
+        assert stacked == peaked_passes > 1
+        assert hard == alone
+        assert abs(easy.value - math.expm1(2.0)) <= easy.error
+        exact = 10.0 * (math.atan(16.3) + math.atan(3.7))
+        assert abs(hard.value - exact) <= hard.error
+        assert hard.error <= 1e-9 * exact
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            _integrate_panels(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
+
+    def test_unresolved_oscillation_uses_up_the_bisections(self, monkeypatch):
+        # max_subdivisions 10 allows floor(log2 10) = 3 bisections: four
+        # passes, then the rule gives up
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=10)
+        passes = []
+        _count_passes(monkeypatch, passes)
+        with pytest.raises(QuadratureError, match="after 3 bisections"):
+            lifshitz._integrate_panels(lambda x: np.sin(1e6 * x * x), (0.0, 20.0), spec)
+        assert passes == [15, 30, 60, 120]
+
+    def test_tabulated_rows_agree_with_tanh_sinh(self, monkeypatch):
+        # Energy and force of random Drude tables: the panel rule against
+        # tanh-sinh on the same integrand and breaks, within the sum of
+        # both estimates
+        rng = random.Random(20261018)
+        for _ in range(60):
+            samples = int(math.exp(rng.uniform(math.log(2.0), math.log(600.0))))
+            start = 0.0 if rng.random() < 0.5 else rng.uniform(0.01, 2.0)
+            table = _drude_table(
+                rng.uniform(1.2, 8.0), math.exp(rng.uniform(math.log(0.2), math.log(30.0))),
+                samples, start,
+            )
+            L = math.exp(rng.uniform(math.log(0.03), math.log(50.0)))
+            spec = QuadratureSpec(rel_tol=rng.choice((1e-8, 1e-10, 1e-12)))
+            panels = _tabulated_full(L, table, spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(lifshitz, "_integrate_panels", lifshitz._integrate)
+                tanh_sinh = _tabulated_full(L, table, spec)
+            for a, b in zip(panels, tanh_sinh):
+                assert abs(a.value - b.value) <= a.error + b.error
+
+    @pytest.mark.parametrize("samples, start", [(2, 0.0), (5, 0.3)])
+    @pytest.mark.parametrize("L", [0.03, 0.5, 4.0, 50.0])
+    def test_coarse_tables_take_one_pass(self, monkeypatch, samples, start, L):
+        # the grading at u = 0 serves tables with few knots near it
+        passes = []
+        _count_passes(monkeypatch, passes)
+        total_energy_lifshitz(
+            Scenario(L, _drude_table(3.0, 1.0, samples, start)), mode=Mode.FULL_KAPPA1
+        )
+        assert len(passes) == 1
 
 
 class TestForce:
