@@ -34,18 +34,14 @@ first-order part it drops is reported as a model error, and the
 beyond-validity flag is the trust region's alone.  F(g) and F'(g) are read
 from Chebyshev interpolants built once per ``QuadratureSpec``.
 
-Two node rules do the outer integrals, each evaluating all its nodes of a
-refinement step as one array.  Tanh-sinh quadrature (Takahashi & Mori
-1974) takes the single-window integrals c0, c1 and the samples of F(g),
-whose integrands are smooth but for a logarithmic point at u = 0: its
-nodes crowd both ends of the window, so c0 takes one pass of 418 nodes,
-where Gauss-Kronrod on graded panels takes about 600.  A table's
-integrand is only C^1 at its knots but smooth between them, so it is
-integrated on panels broken at the knots (and graded toward u = 0) by the
-Gauss-Kronrod 7/15 pair of QUADPACK (Piessens et al. 1983), 15 nodes a
-panel against tanh-sinh's 54, bisecting only the panels that miss their
-share of the tolerance.  QUADPACK itself only backs the independent
-oracle ``inner_integral_quadrature``.
+One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
+QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
+as one array, bisecting only the panels that miss their share of the
+tolerance.  The panels are graded toward the logarithmic point of I(u, 1)
+at u = 0, broken at a table's knots, where its integrand is only C^1, and
+cut into equal parts elsewhere, so c0 and c1 take one pass of 585 nodes
+each.  QUADPACK itself only backs the independent oracle
+``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
 is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table it comes
@@ -106,12 +102,10 @@ class QuadratureSpec:
     e^(-2*u_max) = tail_cut; the analytic bound on the remainder is added
     to the reported error estimate.  ``rel_tol`` and ``abs_tol`` apply to
     the integral over u, before it is scaled to an energy: the node rule
-    stops once halving its step changes the integral by at most
-    max(abs_tol, rel_tol*|integral|), or for a table's panels once each
-    panel's Gauss-Kronrod error is within its width's share of that.
-    ``max_subdivisions`` bounds the refinement: the tanh-sinh step never
-    drops below 1/max_subdivisions (2^-7 at the default 200), a panel is
-    bisected at most floor(log2(max_subdivisions)) times (7), and an
+    stops once each panel's Gauss-Kronrod error is within its width's
+    share of max(abs_tol, rel_tol*|integral|).  ``max_subdivisions`` bounds
+    the refinement: a panel is bisected at most
+    floor(log2(max_subdivisions)) times (7 at the default 200), and an
     integral not settled by then raises QuadratureError.
     """
 
@@ -214,105 +208,8 @@ def inner_integral_quadrature(
     return value
 
 
-# Tanh-sinh rule (Takahashi & Mori 1974).  On a panel [a, b] of half-width
-# d, the step t maps to the nodes a + d*e(t) and b - d*e(t), with
-# e(t) = 1 - tanh(pi/2*sinh t) written so that it keeps its digits near the
-# ends, and weight d*(pi/2)*cosh(t)*(1 - tanh^2(pi/2*sinh t)).  By
-# t = 3.25 the weights are down to about 1e-16 of the panel width and the
-# nodes press against the ends, so the steps stop there.  The first pass takes
-# every step k/2^j at once, for the finest j >= 3 that keeps it within
-# 512 nodes (below that a pass costs about the same whatever its size);
-# each later pass halves the step and adds the odd multiples only.
-_T_MAX = 3.25
-_FIRST_LEVEL = 3
-_FIRST_PASS_NODES = 512
-# Reported on top of the level difference: the rounding of a sum of
-# thousands of integrand values, as a share of the integral of |f|.
-_ROUNDING = 1e-15
-
-
-@cache
-def _steps(level: int, first: bool) -> tuple[np.ndarray, np.ndarray]:
-    # (e(t), weight/d) at t = k*2^-level: every k >= 0 on the first pass,
-    # odd k after it.  The t = 0 node appears from both ends, so it carries
-    # half its weight each time.
-    h = 2.0**-level
-    k = np.arange(int(_T_MAX / h) + 1)
-    if not first:
-        k = k[1::2]
-    t = k * h
-    offset = 2.0 / (np.exp(math.pi * np.sinh(t)) + 1.0)
-    weight = h * (0.5 * math.pi) * np.cosh(t) * offset * (2.0 - offset)
-    if first:
-        weight[0] *= 0.5
-    return offset, weight
-
-
-def _integrate(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    breaks,
-    spec: QuadratureSpec,
-):
-    # The node rule of the single-window integrals: tanh-sinh on each panel
-    # between consecutive breakpoints (where the integrand may be
-    # non-smooth), all panels' nodes of a level in one array, so the
-    # integrand runs once per level.  The integrand gives one value per
-    # node, or a (k, nodes) stack of k integrands sharing the nodes, for
-    # which the result is a tuple of k Estimates.  Each estimate is the
-    # change from the previous level, plus a rounding floor; the rule stops
-    # once every component's change is at most max(abs_tol, rel_tol*|value|),
-    # and raises QuadratureError when the step would drop below
-    # 1/max_subdivisions.
-    edges = np.asarray(breaks, dtype=float)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (hi - lo)
-    level, first = _FIRST_LEVEL, True
-    while (
-        2 ** (level + 1) <= spec.max_subdivisions
-        and 2 * len(half) * _steps(level + 1, True)[0].size <= _FIRST_PASS_NODES
-    ):
-        level += 1
-    while True:
-        offset, weight = _steps(level, first)
-        # (end, panel, step): nodes from the left and from the right end
-        nodes = np.stack((lo + half * offset, hi - half * offset))
-        values = integrand(nodes.ravel())
-        stacked = values.ndim == 2
-        values = values.reshape((-1, *nodes.shape))
-        if not np.all(np.isfinite(values)):
-            raise QuadratureError("integrand is not finite at a quadrature node")
-        # plain numpy sums (a BLAS dot may wake threads for long vectors),
-        # one component at a time, so a stacked integrand sums in the same
-        # order, to the bit, as it would alone
-        terms = half * weight * values
-        part = np.array([t.sum() for t in terms])
-        part_mass = np.array([np.abs(t).sum() for t in terms])
-        if first:
-            # the even steps are the previous level's, at twice the weight
-            previous = 2.0 * np.array([t[..., ::2].sum() for t in terms])
-            value, mass = part, part_mass
-        else:
-            previous = value
-            value, mass = 0.5 * value + part, 0.5 * mass + part_mass
-        change = np.abs(value - previous)
-        if np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))):
-            error = change + _ROUNDING * mass
-            estimates = tuple(Estimate(float(v), float(e)) for v, e in zip(value, error))
-            return estimates if stacked else estimates[0]
-        level, first = level + 1, False
-        if 2**level > spec.max_subdivisions:
-            raise QuadratureError(
-                f"node rule did not converge at step 2^-{level - 1} "
-                f"(max_subdivisions {spec.max_subdivisions}): "
-                f"last change {change.max():.3g}"
-            )
-
-
 # Gauss-Kronrod 7/15 pair, QUADPACK's qk15 (Piessens et al. 1983): 15
 # Kronrod nodes on [-1, 1], of which the odd-indexed 7 are the Gauss nodes.
-# The table's integrand is smooth between its knots, where this pair on
-# graded panels needs far fewer nodes than tanh-sinh, whose nodes crowd
-# every panel's ends for endpoint singularities that are not there.
 _KRONROD_HALF = (
     (0.991455371120812639206854697526329, 0.022935322010529224963732008058970),
     (0.949107912342758524526189684047851, 0.063092092629978553290700663189204),
@@ -336,6 +233,9 @@ _KRONROD_WEIGHTS = np.array(
     [w for _, w in _KRONROD_HALF[:-1]] + [w for _, w in reversed(_KRONROD_HALF)]
 )
 _GAUSS_WEIGHTS = np.array(_GAUSS_HALF + _GAUSS_HALF[-2::-1])
+# Reported on top of the panels' |K15 - G7|: the rounding of a sum of
+# hundreds to thousands of integrand values, as a share of the integral of |f|.
+_ROUNDING = 1e-15
 
 
 def _integrate_panels(
@@ -344,8 +244,10 @@ def _integrate_panels(
     spec: QuadratureSpec,
 ):
     # Gauss-Kronrod 7/15 on each panel between consecutive breakpoints, all
-    # panels' nodes in one array per pass, with the same integrand and
-    # result shapes as _integrate.  A panel's error is |K15 - G7|; a panel
+    # panels' nodes in one array per pass, so the integrand runs once per
+    # pass.  The integrand gives one value per node, or a (k, nodes) stack
+    # of k integrands sharing the nodes, for which the result is a tuple of
+    # k Estimates.  A panel's error is |K15 - G7|; a panel
     # whose error exceeds its width's share of max(abs_tol, rel_tol*|value|)
     # in any component is bisected, and only its halves make the next pass.
     # The estimate is the sum of the panels' errors plus the rounding floor.
@@ -394,6 +296,31 @@ def _integrate_panels(
         hi = np.concatenate((mid, hi[failing]))
 
 
+# Breaks at 2^-k, k = 0..20, grade the panels toward the x^2*log(x) point
+# of I(x, 1) at u = 0 (or s = 0), whatever knots a table has: a coarse
+# table whose first knot lies above 0 would otherwise leave wide panels near
+# that point, which bisect for several passes.
+_GRADING = 2.0 ** -np.arange(21.0)
+
+
+def _graded_breaks(end: float, width: float, knots: np.ndarray = np.empty(0)) -> np.ndarray:
+    # panel breaks on [0, end]: the grading, the knots inside the window
+    # (where a table's interpolant is only C^1, and flat past its ends), and
+    # equal parts of every gap wider than ``width``.  A gap of width 0, a
+    # knot on a grading point, gets no part, so np.unique (whose first call
+    # imports numpy.ma, 10 ms) is not needed.
+    edges = np.sort(np.concatenate((
+        (0.0, end),
+        _GRADING[_GRADING < end],
+        knots[(knots > 0.0) & (knots < end)],
+    )))
+    widths = np.diff(edges)
+    parts = np.ceil(widths / width).astype(int)
+    part = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    step = np.repeat(widths, parts) / np.repeat(parts, parts)
+    return np.append(np.repeat(edges[:-1], parts) + part * step, end)
+
+
 def _e0_tail_bound(u_max: float) -> float:
     # |I(u, 1)| <= e^(-2u) * (u*zeta(2)/2 + zeta(3)/4), integrated over [u_max, inf)
     return math.exp(-2.0 * u_max) * (
@@ -437,7 +364,8 @@ def _slope_integrand(x: np.ndarray, inner: np.ndarray) -> np.ndarray:
 @cache
 def _e0_number(quad: QuadratureSpec) -> Estimate:
     # c0 = int_0^inf I(u, 1) du
-    raw = _integrate(lambda u: inner_integral(u, 1.0), (0.0, quad.u_max), quad)
+    breaks = _graded_breaks(quad.u_max, 1.0)
+    raw = _integrate_panels(lambda u: inner_integral(u, 1.0), breaks, quad)
     return Estimate(raw.value, raw.error + _e0_tail_bound(quad.u_max))
 
 
@@ -447,7 +375,7 @@ def _delta_number(quad: QuadratureSpec) -> Estimate:
     def integrand(u: np.ndarray) -> np.ndarray:
         return u**4 * log_one_minus_exp(2.0 * u)
 
-    raw = _integrate(integrand, (0.0, quad.u_max), quad)
+    raw = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
     return Estimate(raw.value, raw.error + _delta_tail_bound(quad.u_max))
 
 
@@ -536,7 +464,8 @@ def _full_samples(
         energy = (both[: x.size] - both[x.size :]).reshape(x.shape)
         return np.concatenate((energy, u**3 * x * log_one_minus_exp(2.0 * x)))
 
-    estimates = _integrate(integrand, (0.0, 1.0), quad)
+    # parts 1/16 wide in s are about 1 wide in u where U = u_max
+    estimates = _integrate_panels(integrand, _graded_breaks(1.0, 1.0 / 16.0), quad)
     value = np.array([e.value for e in estimates]).reshape(2, -1) * U
     error = np.array([e.error for e in estimates]).reshape(2, -1) * U
     end, start = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
@@ -700,32 +629,6 @@ def _full_kappa1(
     return delta, shift, peak, model_error
 
 
-# Breaks at 2^-k, k = 0..20, grade the panels toward the x^2*log(x) point
-# of I(x, 1) at u = 0 whatever the knots are: a coarse table whose first
-# knot lies above 0 would otherwise leave wide panels near that point,
-# which bisect for several passes.
-_GRADING = 2.0 ** -np.arange(21.0)
-
-
-def _table_breaks(model: Tabulated, scale: float, u_max: float) -> np.ndarray:
-    # panel breaks in u = scale*xi on [0, u_max]: the grading, the knots
-    # inside the window, where the interpolant is only C^1 (and flat past
-    # the table's ends), and equal parts of every gap wider than 1.  A gap
-    # of width 0, a knot on a grading point, gets no part, so np.unique
-    # (whose first call imports numpy.ma, 10 ms) is not needed.
-    knots = scale * np.asarray(model.xi)
-    edges = np.sort(np.concatenate((
-        (0.0, u_max),
-        _GRADING[_GRADING < u_max],
-        knots[(knots > 0.0) & (knots < u_max)],
-    )))
-    widths = np.diff(edges)
-    parts = np.ceil(widths).astype(int)
-    part = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
-    step = np.repeat(widths, parts) / np.repeat(parts, parts)
-    return np.append(np.repeat(edges[:-1], parts) + part * step, u_max)
-
-
 def _tabulated_full(
     L: float, model: Tabulated, quad: QuadratureSpec
 ) -> tuple[Estimate, Estimate]:
@@ -747,7 +650,8 @@ def _tabulated_full(
         x, inner = x[:size], inner[:size]
         return np.stack((inner, _slope_integrand(x, inner)))
 
-    raw, raw_slope = _integrate_panels(integrand, _table_breaks(model, n * L, u_max), quad)
+    breaks = _graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi))
+    raw, raw_slope = _integrate_panels(integrand, breaks, quad)
     slope = Estimate(
         raw_slope.value - u_max * edge, raw_slope.error + _force_tail_bound(u_max)
     )

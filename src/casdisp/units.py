@@ -56,13 +56,19 @@ def convert_units(
     """Scale a natural-units value to the configured output units.
 
     ``quantity`` is "energy_per_area" (to J/m^2) or "force_per_area"
-    (to Pa).  Natural mode is the identity.
+    (to Pa).  Natural mode is the identity.  A finite, non-zero value
+    whose SI value overflows to +-inf or underflows to 0 raises ValueError.
     """
     if quantity not in ("energy_per_area", "force_per_area"):
         raise ValueError(f"unknown quantity kind {quantity!r}")
     if unit_system.mode is UnitMode.NATURAL:
         return value
     unit = unit_system.length_unit_in_meters
-    if quantity == "energy_per_area":
-        return value * HBAR_C_JOULE_METER / unit**3
-    return value * HBAR_C_JOULE_METER / unit**4
+    power = 3 if quantity == "energy_per_area" else 4
+    converted = value * HBAR_C_JOULE_METER / unit**power
+    if value != 0.0 and math.isfinite(value) and converted in (0.0, math.inf, -math.inf):
+        raise ValueError(
+            f"{quantity.replace('_', ' ')} {value!r} out of range in SI units at "
+            f"length unit {unit!r}: value*hbar*c/unit^{power} is {converted!r}"
+        )
+    return converted

@@ -590,6 +590,28 @@ class TestOutOfRangeInput:
             "must lie within 1e-300 and 1e300\n"
         )
 
+    @pytest.mark.parametrize(
+        "L, unit, message",
+        [
+            ("1e-40", "1e-70",
+             "force per area -4.112335167120567e+158 out of range in SI units at "
+             "length unit 1e-70: value*hbar*c/unit^4 is -inf"),
+            ("1e40", "1e70",
+             "energy per area -1.3707783890401886e-122 out of range in SI units at "
+             "length unit 1e+70: value*hbar*c/unit^3 is -0.0"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_converted_value(self, capsys, L, unit, message):
+        # a unit in range can still take a value past the double range,
+        # which printed -Infinity (not JSON), or -0.0 for every value
+        code, out, err = run_cli(
+            capsys, "compute", "--L", L, "--n0", "1", "--si", "--length-unit", unit,
+            "--method", "analytic", "--format", "json",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_edge_of_the_range_is_finite(self, capsys):
         # L^6 = 1e-300 is inside: every printed number is finite
         code, out, err = run_cli(

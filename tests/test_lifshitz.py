@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from tanh_sinh import integrate as tanh_sinh
 
 from casdisp import lifshitz
 from casdisp.cli import main
@@ -28,10 +29,10 @@ from casdisp.dispersion import (
 )
 from casdisp.lifshitz import (
     DEFAULT_QUADRATURE,
+    Estimate,
     Mode,
     QuadratureError,
     QuadratureSpec,
-    _integrate,
     _integrate_panels,
     _tabulated_full,
     delta_e_lifshitz_first_order,
@@ -46,6 +47,14 @@ from casdisp.special import zeta_value
 
 # direct adaptive quadrature of k*log(1 - e^-2k) on [1, inf), 40 digits
 INNER_1_1 = -0.10453683585783608
+
+
+def _drude_table(eps0: float, w0: float, samples: int = 40, start: float = 0.0) -> Tabulated:
+    # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on
+    # xi_k = start + 40*(k/(samples-1))^2
+    xi = [start + 40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
+    n = [math.sqrt(1.0 + (eps0 - 1.0) / (1.0 + (x / w0) ** 2)) for x in xi]
+    return Tabulated(xi, n)
 
 
 class TestQuadratureSpec:
@@ -215,6 +224,23 @@ class TestTotalEnergy:
             )
             assert abs(fine.total - coarse.total) <= coarse.error_estimate
 
+    @pytest.mark.parametrize(
+        "model, mode",
+        [
+            (Cauchy(1.5, 1e-3), Mode.FIRST_ORDER_SPLIT),
+            (Cauchy(1.5, 1e-3), Mode.FULL_KAPPA1),
+            (_drude_table(3.0, 1.0), Mode.FULL_KAPPA1),
+        ],
+    )
+    def test_smallest_subdivision_limit_converges(self, model, mode):
+        # max_subdivisions 10, the least QuadratureSpec accepts, allows each
+        # panel 3 bisections, enough for c0, c1, F(g) and a table's row
+        scenario = Scenario(1.0, model)
+        base = total_energy_lifshitz(scenario, DEFAULT_QUADRATURE, mode)
+        small = total_energy_lifshitz(scenario, QuadratureSpec(max_subdivisions=10), mode)
+        assert abs(small.total - base.total) <= small.error_estimate + base.error_estimate
+        assert abs(small.force - base.force) <= small.force_error + base.force_error
+
 
 class TestScaleFreeSplit:
     @given(
@@ -240,18 +266,9 @@ class TestScaleFreeSplit:
 
     def test_split_sweep_integrates_once(self, capsys, monkeypatch):
         passes = []
-        node_rule = lifshitz._integrate
-
-        def counting(integrand, breaks, spec):
-            def counted(u):
-                passes.append(u.size)
-                return integrand(u)
-
-            return node_rule(counted, breaks, spec)
-
         lifshitz._e0_number.cache_clear()
         lifshitz._delta_number.cache_clear()
-        monkeypatch.setattr(lifshitz, "_integrate", counting)
+        _count_passes(monkeypatch, passes)
         code = main([
             "sweep", "--variable", "L", "--min", "0.5", "--max", "1e4",
             "--points", "200", "--scale", "log", "--n0", "1.5", "--n1", "1e-4",
@@ -260,24 +277,21 @@ class TestScaleFreeSplit:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 201
         # one node-rule pass for each of c0 and c1, none per row
-        assert 1 <= len(passes) <= 2
+        assert passes == [585, 585]
 
 
 def _count_passes(monkeypatch, passes: list) -> None:
-    # record the node count of every pass of either node rule: tanh-sinh
-    # levels of lifshitz._integrate and Gauss-Kronrod passes of
-    # lifshitz._integrate_panels
-    for name in ("_integrate", "_integrate_panels"):
-        rule = getattr(lifshitz, name)
+    # record the node count of every pass of lifshitz._integrate_panels
+    rule = lifshitz._integrate_panels
 
-        def counting(integrand, breaks, spec, rule=rule):
-            def counted(u):
-                passes.append(u.size)
-                return integrand(u)
+    def counting(integrand, breaks, spec):
+        def counted(u):
+            passes.append(u.size)
+            return integrand(u)
 
-            return rule(counted, breaks, spec)
+        return rule(counted, breaks, spec)
 
-        monkeypatch.setattr(lifshitz, name, counting)
+    monkeypatch.setattr(lifshitz, "_integrate_panels", counting)
 
 
 def _node_rule_passes(monkeypatch, capsys, argv):
@@ -350,14 +364,6 @@ class TestOnePassPerRow:
         assert len(passes) == (0 if kind == "full-kappa1" else 2)
         assert calls["inner_integral"] == calls["kappa_lower"] == len(passes)
         assert calls["scalar"] == 0
-
-
-def _drude_table(eps0: float, w0: float, samples: int = 40, start: float = 0.0) -> Tabulated:
-    # n(i*xi) = sqrt(1 + (eps0 - 1)/(1 + (xi/w0)^2)) on
-    # xi_k = start + 40*(k/(samples-1))^2
-    xi = [start + 40.0 * (k / (samples - 1)) ** 2 for k in range(samples)]
-    n = [math.sqrt(1.0 + (eps0 - 1.0) / (1.0 + (x / w0) ** 2)) for x in xi]
-    return Tabulated(xi, n)
 
 
 def _quadpack_oracle(integrand, breaks):
@@ -439,31 +445,6 @@ class TestNodeRule:
         with pytest.raises(AssertionError):
             inner_integral_quadrature(1.0, 1.0)
 
-    def test_smooth_integral_over_panels(self):
-        spec = QuadratureSpec()
-        estimate = _integrate(np.exp, (0.0, 0.3, 1.0, 2.0), spec)
-        assert estimate.value == pytest.approx(math.expm1(2.0), rel=1e-15)
-        assert abs(estimate.value - math.expm1(2.0)) <= estimate.error
-
-    def test_stacked_integrands_stop_together(self):
-        # the peaked component needs more levels than exp; the stack runs
-        # until both have converged, so it gives the peaked one unchanged
-        spec = QuadratureSpec()
-
-        def peaked(u):
-            return 1.0 / (1e-2 + (u - 0.37) ** 2)
-
-        easy, hard = _integrate(lambda u: np.stack((np.exp(u), peaked(u))), (0.0, 2.0), spec)
-        alone = _integrate(peaked, (0.0, 2.0), spec)
-        assert hard == alone
-        assert abs(easy.value - math.expm1(2.0)) <= easy.error
-        exact = 10.0 * (math.atan(16.3) + math.atan(3.7))
-        assert abs(hard.value - exact) <= hard.error
-
-    def test_non_finite_integrand_raises(self):
-        with pytest.raises(QuadratureError):
-            _integrate(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
-
 
 class TestPanelRule:
     def test_smooth_integral_over_panels(self):
@@ -513,9 +494,30 @@ class TestPanelRule:
         assert passes == [15, 30, 60, 120]
 
     def test_tabulated_rows_agree_with_tanh_sinh(self, monkeypatch):
-        # Energy and force of random Drude tables: the panel rule against
-        # tanh-sinh on the same integrand and breaks, within the sum of
-        # both estimates
+        # The panel rule against tanh-sinh on the same integrand and breaks,
+        # within the sum of both estimates: c0, c1 and F(g), F'(g) at
+        # log-spaced g at each tolerance, then the energy and force of
+        # random Drude tables
+        def outer_integrals(spec):
+            # F(g)'s rounding floor reads c0 from the cache, which the first
+            # call fills from the panel rule
+            samples = lifshitz._full_samples(np.geomspace(1e-7, 5e-2, 6), spec)
+            raw, raw_error, slope, slope_error = samples
+            return [
+                lifshitz._e0_number.__wrapped__(spec),
+                lifshitz._delta_number.__wrapped__(spec),
+                *map(Estimate, raw, raw_error),
+                *map(Estimate, slope, slope_error),
+            ]
+
+        for rel_tol in (1e-8, 1e-10, 1e-12):
+            spec = QuadratureSpec(rel_tol=rel_tol)
+            panels = outer_integrals(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(lifshitz, "_integrate_panels", tanh_sinh)
+                other = outer_integrals(spec)
+            for a, b in zip(panels, other, strict=True):
+                assert abs(a.value - b.value) <= a.error + b.error
         rng = random.Random(20261018)
         for _ in range(60):
             samples = int(math.exp(rng.uniform(math.log(2.0), math.log(600.0))))
@@ -528,9 +530,9 @@ class TestPanelRule:
             spec = QuadratureSpec(rel_tol=rng.choice((1e-8, 1e-10, 1e-12)))
             panels = _tabulated_full(L, table, spec)
             with monkeypatch.context() as patch:
-                patch.setattr(lifshitz, "_integrate_panels", lifshitz._integrate)
-                tanh_sinh = _tabulated_full(L, table, spec)
-            for a, b in zip(panels, tanh_sinh):
+                patch.setattr(lifshitz, "_integrate_panels", tanh_sinh)
+                other = _tabulated_full(L, table, spec)
+            for a, b in zip(panels, other):
                 assert abs(a.value - b.value) <= a.error + b.error
 
     @pytest.mark.parametrize("samples, start", [(2, 0.0), (5, 0.3)])
@@ -763,12 +765,6 @@ def _central_difference(
 
 
 class TestFailurePaths:
-    def test_subdivision_exhaustion_raises(self):
-        # no step the budget allows (down to 2^-3) resolves this oscillation
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=10)
-        with pytest.raises(QuadratureError):
-            _integrate(lambda x: np.sin(1e6 * x * x), (0.0, 20.0), spec)
-
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             e0_lifshitz(-1.0, 1.0)
