@@ -4,28 +4,24 @@ Exit codes: 0 success, 1 validation-check failure, 2 argument errors,
 3 quadrature failure, 4 file I/O errors.  Warnings go to stderr; the data
 stream stays clean.  CSV numbers use a fixed 17-significant-digit form so
 identical invocations are byte-identical; JSON uses the shortest
-round-trip representation.
+round-trip representation.  A sweep's rows are evaluated as columns, each
+method in one pass over the whole grid (``compute`` is a one-point grid),
+and the CSV comes from one format template per row.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass
 from functools import cache
+from typing import Optional
 
 import numpy as np
 
-from .closed_form import (
-    Scenario,
-    SurfaceTermSpec,
-    force_analytic,
-    total_energy_analytic,
-)
+from .closed_form import SurfaceTermSpec, _at, analytic_rows, range_error
 from .crosscheck import run_validation_checks
 from .dispersion import Cauchy, Constant, Tabulated, load_index_table
 from .lifshitz import (
@@ -34,10 +30,13 @@ from .lifshitz import (
     QuadratureError,
     QuadratureSpec,
     check_step_fraction,
-    force_lifshitz,  # unused here; perfbench/tracer.py patches casdisp.cli.force_lifshitz
-    total_energy_lifshitz,
+    lifshitz_rows,
 )
 from .units import UnitMode, UnitSystem, convert_units
+
+# unused here; perfbench/tracer.py patches them as casdisp.cli.*
+from .closed_form import force_analytic, total_energy_analytic  # noqa: F401
+from .lifshitz import force_lifshitz, total_energy_lifshitz  # noqa: F401
 
 __all__ = ["main", "SweepSpec"]
 
@@ -51,6 +50,14 @@ _CSV_COLUMNS = (
     "error_estimate",
     "validity_flag",
 )
+# one CSV row of the grid value and the columns above, in a round-trip 17-digit form
+_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%s,%.16e,%d\n"
+# the breakdown fields a row prints, in order, with their JSON keys and kinds
+_FIELDS = tuple(zip(
+    ("e0", "delta_e", "e_surface", "total", "force", "error_estimate", "force_error"),
+    ("e0", "delta_e", "e_surface", "total", "force", "error_estimate", "force_error_estimate"),
+    ("energy_per_area",) * 4 + ("force_per_area", "energy_per_area", "force_per_area"),
+))
 
 
 @dataclass(frozen=True)
@@ -81,17 +88,8 @@ class SweepSpec:
         if self.variable == "n1" and self.min < 0.0:
             raise ValueError("dispersion coefficients must be >= 0")
 
-    def grid(self) -> list[float]:
-        if self.scale == "log":
-            values = np.geomspace(self.min, self.max, self.points)
-        else:
-            values = np.linspace(self.min, self.max, self.points)
-        return [float(v) for v in values]
-
-
-def _fmt(x: float) -> str:
-    # fixed 17 significant digits; round-trips doubles exactly
-    return format(x, ".16e")
+    def grid(self) -> np.ndarray:
+        return (np.geomspace if self.scale == "log" else np.linspace)(self.min, self.max, self.points)
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -205,65 +203,11 @@ def _build_model(args: argparse.Namespace):
     return Cauchy(args.n0, args.n1)
 
 
-def _evaluate(scenario: Scenario, method: str, quad, mode):
-    if method == "analytic":
-        breakdown = total_energy_analytic(scenario)
-        return breakdown, force_analytic(scenario), 0.0
-    # the quadrature breakdown carries its force, from the same node pass
-    breakdown = total_energy_lifshitz(scenario, quad, mode)
-    return breakdown, breakdown.force, breakdown.force_error
-
-
-def _result_record(breakdown, force, force_error, units: UnitSystem) -> dict:
-    def energy(x):
-        return convert_units(x, units, "energy_per_area")
-
-    def pressure(x):
-        return convert_units(x, units, "force_per_area")
-
-    return {
-        "method": breakdown.method.value,
-        "e0": energy(breakdown.e0),
-        "delta_e": energy(breakdown.delta_e),
-        "e_surface": energy(breakdown.e_surface),
-        "total": energy(breakdown.total),
-        "force": pressure(force),
-        "error_estimate": energy(breakdown.error_estimate),
-        "force_error_estimate": pressure(force_error),
-        "beyond_validity": breakdown.beyond_validity,
-    }
-
-
 def _model_echo(model) -> dict:
-    if isinstance(model, Constant):
-        return {"type": "constant", "n0": model.n0}
-    if isinstance(model, Cauchy):
-        return {"type": "cauchy", "n0": model.n0, "n1": model.n1}
-    return {
-        "type": "tabulated",
-        "samples": len(model.xi),
-        "xi_min": model.xi[0],
-        "xi_max": model.xi[-1],
-    }
-
-
-def _csv_text(first_column: str, rows: list[tuple[float, dict]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([first_column, *_CSV_COLUMNS])
-    for value, record in rows:
-        writer.writerow([
-            _fmt(value),
-            _fmt(record["e0"]),
-            _fmt(record["delta_e"]),
-            _fmt(record["e_surface"]),
-            _fmt(record["total"]),
-            _fmt(record["force"]),
-            record["method"],
-            _fmt(record["error_estimate"]),
-            "1" if record["beyond_validity"] else "0",
-        ])
-    return buffer.getvalue()
+    if isinstance(model, Tabulated):
+        xi = model.xi
+        return {"type": "tabulated", "samples": len(xi), "xi_min": xi[0], "xi_max": xi[-1]}
+    return {"type": type(model).__name__.lower(), **asdict(model)}
 
 
 def _emit(text: str, out_path) -> None:
@@ -274,13 +218,14 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
 
 
-def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, envelope) -> int:
-    """Evaluate every method at every grid point, warn once, emit CSV or JSON.
+def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None) -> int:
+    """Evaluate each method once over the grid's column, warn once, emit CSV or JSON.
 
-    ``model`` is the medium the JSON scenario echoes (for an n1 sweep its
-    dispersion-free base), ``scenario_at(value, surface)`` builds the problem
-    at one grid value and ``envelope(head, rows)`` wraps the JSON rows.
+    ``grid`` holds a sweep's values, or compute's one separation as a float;
+    ``model`` is the medium (for an n1 sweep its dispersion-free base).  An
+    error names the first failing value in the order the rows print.
     """
+    variable = spec.variable if spec else "L"
     surface = SurfaceTermSpec(args.cs) if args.cs is not None else None
     quad = QuadratureSpec(rel_tol=args.rel_tol)
     units = UnitSystem(UnitMode.SI, args.length_unit) if args.si else UnitSystem()
@@ -291,21 +236,60 @@ def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, enve
         mode = Mode.FULL_KAPPA1 if isinstance(model, Tabulated) else Mode.FIRST_ORDER_SPLIT
     methods = ["analytic", "lifshitz"] if args.method == "both" else [args.method]
 
-    rows = []
-    for value in grid:
-        scenario = scenario_at(value, surface)
-        for method in methods:
-            breakdown, force, force_error = _evaluate(scenario, method, quad, mode)
-            rows.append((value, _result_record(breakdown, force, force_error, units)))
-    flagged = sum(1 for _, record in rows if record["beyond_validity"])
+    def rows(grid):
+        # separations and medium of the rows; an n1 sweep's medium is a column
+        return (args.L, Cauchy(model.n0, grid)) if variable == "n1" else (grid, model)
+
+    L, medium = rows(grid)
+    failure = range_error(L, medium, surface)
+    if failure:
+        # the rows before the first one out of range still run, and may fail first
+        if failure[0] == 0:
+            raise failure[1]
+        grid = grid[: failure[0]]
+        L, medium = rows(grid)
+    values = grid.tolist() if isinstance(grid, np.ndarray) else [grid]
+    breakdowns = [
+        analytic_rows(L, medium, surface)
+        if method == "analytic"
+        else lifshitz_rows(L, medium, surface, quad, mode)
+        for method in methods
+    ]
+    try:
+        # each method's printed fields in output units, then its flags
+        tables = [
+            [convert_units(getattr(b, name), units, kind) for name, _, kind in _FIELDS]
+            + [b.beyond_validity]
+            for b in breakdowns
+        ]
+    except ValueError:
+        # a row at a time in print order, the first value lost names the error
+        for row in range(len(values)):
+            for breakdown in breakdowns:
+                for name, _, kind in _FIELDS:
+                    convert_units(_at(getattr(breakdown, name), row), units, kind)
+        raise
+    if failure:
+        raise failure[1]
+    tables = [
+        [x.tolist() if isinstance(x, np.ndarray) else [x] * len(values) for x in table]
+        for table in tables
+    ]
+    flagged = sum(sum(table[-1]) for table in tables)
     if flagged:
         print(
-            f"warning: {flagged} of {len(rows)} rows lie outside the dispersion "
-            "model's trust region",
+            f"warning: {flagged} of {len(values) * len(methods)} rows lie outside the "
+            "dispersion model's trust region",
             file=sys.stderr,
         )
-
+    # point by point, and each point's methods in turn
+    printed = [
+        (value, method, *fields)
+        for value, *group in zip(values, *(zip(*table) for table in tables))
+        for method, fields in zip(methods, group)
+    ]
     if args.format == "json":
+        keys = ("method", *(key for _, key, _ in _FIELDS), "beyond_validity")
         head = {
             "scenario": {"L": args.L, "model": _model_echo(model), "c_s": args.cs},
             "units": {
@@ -313,9 +297,19 @@ def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, enve
                 "length_unit_in_meters": units.length_unit_in_meters,
             },
         }
-        text = json.dumps(envelope(head, rows), indent=2) + "\n"
+        records = [dict(zip(keys, row)) for _, *row in printed]
+        if spec is None:
+            document = {**head, "results": records}
+        else:
+            body = [{variable: row[0], **record} for row, record in zip(printed, records)]
+            document = {"sweep": asdict(spec), **head, "rows": body}
+        text = json.dumps(document, indent=2) + "\n"
     else:
-        text = _csv_text(variable, rows)
+        # the CSV leaves out force_error_estimate and names the method sixth
+        text = ",".join((variable, *_CSV_COLUMNS)) + "\n" + "".join(
+            _CSV_ROW % (value, *fields[:5], method, fields[5], flag)
+            for value, method, *fields, _, flag in printed
+        )
     _emit(text, args.out)
     return 0
 
@@ -323,14 +317,7 @@ def _run(args: argparse.Namespace, model, variable: str, grid, scenario_at, enve
 def _cmd_compute(args: argparse.Namespace) -> int:
     model = _build_model(args)
     _require(args, "L", "method", "format")
-
-    def envelope(head: dict, rows: list) -> dict:
-        return {**head, "results": [record for _, record in rows]}
-
-    def scenario_at(L: float, surface) -> Scenario:
-        return Scenario(L, model, surface)
-
-    return _run(args, model, "L", [args.L], scenario_at, envelope)
+    return _run(args, model, args.L)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -350,20 +337,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.L is None:
             args.parser.error("--L is required when sweeping n1")
         model = Cauchy(args.n0, 0.0)
-
-        def scenario_at(n1: float, surface) -> Scenario:
-            return Scenario(args.L, Cauchy(args.n0, n1), surface)
     else:
         model = _build_model(args)
-
-        def scenario_at(L: float, surface) -> Scenario:
-            return Scenario(L, model, surface)
-
-    def envelope(head: dict, rows: list) -> dict:
-        body = [{spec.variable: value, **record} for value, record in rows]
-        return {"sweep": asdict(spec), **head, "rows": body}
-
-    return _run(args, model, spec.variable, spec.grid(), scenario_at, envelope)
+    return _run(args, model, spec.grid(), spec)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

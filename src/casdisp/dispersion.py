@@ -53,6 +53,8 @@ class Cauchy:
     """Quadratic low-frequency dispersion n(omega) = n0 + n1*omega^2.
 
     n1 carries units of length^2 in natural units and must be non-negative.
+    It may be an array: a column of media that share n0, one per row of an
+    n1 sweep.
     """
 
     n0: float
@@ -61,7 +63,7 @@ class Cauchy:
     def __post_init__(self):
         if not 0.0 < self.n0 < math.inf:
             raise ValueError(f"refractive index must be positive and finite, got {self.n0}")
-        if not 0.0 <= self.n1 < math.inf:
+        if not all(0.0 <= n1 < math.inf for n1 in np.ravel(self.n1).tolist()):
             raise ValueError(f"dispersion coefficient must be >= 0 and finite, got {self.n1}")
 
 
@@ -215,10 +217,12 @@ def validity(model: DispersionModel) -> ValidityReport:
 
     The one statement of the rule L > 2*pi*sqrt(n1): every result's
     beyond-validity flag comes from ``validity(model).is_valid_at(L)``.
+    A column of n1 gives an array of ``min_separation``.
     """
     n0, n1 = cauchy_coefficients(model)
+    root = np.sqrt(n1) if isinstance(n1, np.ndarray) else math.sqrt(n1)
     return ValidityReport(
-        min_separation=2.0 * math.pi * math.sqrt(n1),
+        min_separation=2.0 * math.pi * root,
         ratio_bound=1.0 / (14.0 * n0**3),
     )
 

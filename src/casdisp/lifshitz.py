@@ -54,14 +54,15 @@ dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .closed_form import EnergyBreakdown, Method, Scenario, surface_energy
+from .closed_form import EnergyBreakdown, Method, Scenario, SurfaceTermSpec, surface_energy
+from .closed_form import _check_positive, _power, _row
 from .dispersion import (
     DispersionModel,
     Tabulated,
@@ -155,8 +156,7 @@ def inner_integral(kappa1, L: float):
     """
     if not np.all(np.asarray(kappa1) >= 0.0):
         raise ValueError(f"lower limit must be >= 0, got {kappa1}")
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
+    _check_positive(L)
     # Li_2 and Li_3 from one pass over w
     li2, li3 = polylog_exp_neg((2, 3), 2.0 * kappa1 * L)
     value = -(kappa1 / (2.0 * L)) * li2 - li3 / (4.0 * L * L)
@@ -185,8 +185,7 @@ def inner_integral_quadrature(
     """
     if not kappa1 >= 0.0:
         raise ValueError(f"lower limit must be >= 0, got {kappa1}")
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
+    _check_positive(L)
 
     ln2 = math.log(2.0)
 
@@ -390,11 +389,8 @@ def e0_lifshitz(
 
     Agrees with -pi^2/(720*n0*L^3) to within the reported error estimate.
     """
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
-    if not n0 > 0.0:
-        raise ValueError(f"refractive index must be positive, got {n0}")
-    return _scaled(_e0_number(quad), 1.0 / (_TWO_PI_SQ * n0 * L**3))
+    _check_positive(L, n0)
+    return _scaled(_e0_number(quad), 1.0 / (_TWO_PI_SQ * n0 * _power(L, 3)))
 
 
 def delta_e_lifshitz_first_order(
@@ -406,12 +402,13 @@ def delta_e_lifshitz_first_order(
     log(1 - e^(-2*n0*xi*L)) dxi = n1*c1 / (2*pi^2*n0^4*L^5); exactly
     linear in n1 by construction.
     """
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
+    _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
-    if n1 == 0.0:
+    if not isinstance(n1, np.ndarray) and n1 == 0.0:
         return Estimate(0.0, 0.0)
-    return _scaled(_delta_number(quad), n1 / (_TWO_PI_SQ * n0**4 * L**5))
+    c1 = _delta_number(quad)
+    # (-c1)*((0.0 - n1)/D) has the bits of c1*(n1/D), but is 0.0, not -0.0, at n1 = 0
+    return _scaled(Estimate(-c1.value, c1.error), (0.0 - n1) / (_TWO_PI_SQ * n0**4 * _power(L, 5)))
 
 
 def delta_e_lifshitz_full(
@@ -605,8 +602,7 @@ def _full_kappa1(
     # dg/dL = -2g/L, its share is exactly -d(delta_e)/dL =
     # (3F + 2g*F')/(2*pi^2*n0*L^4).  Past the peak the model is out of its
     # domain; the model error bounds the first-order part dropped there.
-    if not L > 0.0:
-        raise ValueError(f"separation must be positive, got {L}")
+    _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
     g = n1 / (n0**3 * L**2)
     if g == 0.0:
@@ -673,10 +669,25 @@ def total_energy_lifshitz(
     exists to split against.  The breakdown carries the force -dE/dL of
     the same evaluation (see ``force_lifshitz``), from the same node pass.
     """
-    L = scenario.L
-    model = scenario.model
-    e_s = surface_energy(L, scenario.surface) if scenario.surface else 0.0
+    return lifshitz_rows(scenario.L, scenario.model, scenario.surface, quad, mode)
 
+
+def lifshitz_rows(
+    L, model: DispersionModel, surface: Optional[SurfaceTermSpec], quad: QuadratureSpec, mode: Mode
+) -> EnergyBreakdown:
+    """``total_energy_lifshitz`` of a separation and medium, or of a column of rows.
+
+    As in ``closed_form.analytic_rows``.  Split rows are arithmetic on c0 and
+    c1; a full-kappa_1 row reads F(g), and a table row makes its pass, alone.
+    """
+    column = L if isinstance(L, np.ndarray) else getattr(model, "n1", None)
+    if mode is Mode.FULL_KAPPA1 and isinstance(column, np.ndarray):
+        rows = [lifshitz_rows(*_row(L, model, k), surface, quad, mode) for k in range(column.size)]
+        return EnergyBreakdown(method=Method.LIFSHITZ, **{
+            field.name: np.array([getattr(row, field.name) for row in rows])
+            for field in fields(EnergyBreakdown) if field.name != "method"
+        })
+    e_s = surface_energy(L, surface) if surface else 0.0
     model_error = 0.0
     if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):
         # sampled data has no closed trust region, so nothing to flag
@@ -695,22 +706,15 @@ def total_energy_lifshitz(
             # delta_e goes as 1/L^5
             shift = _scaled(delta, 5.0 / L)
         force = Estimate(leading.value + shift.value, leading.error + shift.error)
-        flagged = not validity(model).is_valid_at(L)
+        # ^ True negates a bool, or each flag of a column, alike
+        flagged = validity(model).is_valid_at(L) ^ True
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
-
     return EnergyBreakdown(
-        e0=e0.value,
-        delta_e=delta.value,
-        e_surface=e_s,
-        total=e0.value + delta.value + e_s,
-        method=Method.LIFSHITZ,
-        error_estimate=e0.error + delta.error,
-        beyond_validity=flagged,
+        e0=e0.value, delta_e=delta.value, e_surface=e_s, total=e0.value + delta.value + e_s,
+        method=Method.LIFSHITZ, error_estimate=e0.error + delta.error, beyond_validity=flagged,
         # e_s = c_s/L^4
-        force=force.value + 4.0 * e_s / L,
-        force_error=force.error,
-        model_error=model_error,
+        force=force.value + 4.0 * e_s / L, force_error=force.error, model_error=model_error,
     )
 
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["HBAR_C_JOULE_METER", "UnitMode", "UnitSystem", "convert_units"]
 
 HBAR_C_JOULE_METER = 3.1615267734966903e-26
@@ -50,14 +52,13 @@ class UnitSystem:
                 )
 
 
-def convert_units(
-    value: float, unit_system: UnitSystem, quantity: str = "energy_per_area"
-) -> float:
-    """Scale a natural-units value to the configured output units.
+def convert_units(value, unit_system: UnitSystem, quantity: str = "energy_per_area"):
+    """Scale a natural-units value, or each element of an array, to the output units.
 
     ``quantity`` is "energy_per_area" (to J/m^2) or "force_per_area"
     (to Pa).  Natural mode is the identity.  A finite, non-zero value
-    whose SI value overflows to +-inf or underflows to 0 raises ValueError.
+    whose SI value overflows to +-inf or underflows to 0 raises ValueError,
+    which names an array's first such element.
     """
     if quantity not in ("energy_per_area", "force_per_area"):
         raise ValueError(f"unknown quantity kind {quantity!r}")
@@ -65,8 +66,15 @@ def convert_units(
         return value
     unit = unit_system.length_unit_in_meters
     power = 3 if quantity == "energy_per_area" else 4
-    converted = value * HBAR_C_JOULE_METER / unit**power
-    if value != 0.0 and math.isfinite(value) and converted in (0.0, math.inf, -math.inf):
+    # an array overflows to inf as a float does, without a warning
+    with np.errstate(over="ignore"):
+        converted = value * HBAR_C_JOULE_METER / unit**power
+    finite = abs(value) < math.inf
+    lost = (value != 0.0) & finite & ((converted == 0.0) | (abs(converted) == math.inf))
+    if isinstance(lost, np.ndarray):
+        if lost.any():  # the float call words the error for the first element lost
+            convert_units(float(value[lost.argmax()]), unit_system, quantity)
+    elif lost:
         raise ValueError(
             f"{quantity.replace('_', ' ')} {value!r} out of range in SI units at "
             f"length unit {unit!r}: value*hbar*c/unit^{power} is {converted!r}"

@@ -180,7 +180,8 @@ class TestCompute:
         def explode(*args, **kwargs):
             raise QuadratureError("subdivision limit reached")
 
-        monkeypatch.setattr("casdisp.cli.total_energy_lifshitz", explode)
+        # the CLI evaluates its quadrature rows as one column
+        monkeypatch.setattr("casdisp.cli.lifshitz_rows", explode)
         code, _, err = run_cli(
             capsys, "compute", "--L", "1", "--n0", "1", "--method", "lifshitz",
             "--format", "csv",
