@@ -39,14 +39,13 @@ __all__ = [
 
 # powers of ten either side of 1 that the scales of a result may span
 _DECADES = 300
-# (i, j) of the products value*n^-i*L^-j the routes form from n1 and c_s
-_N1_PRODUCTS = (
-    (0, 0, "n1"),
-    (4, 5, "n1/(n0^4*L^5)"),
-    (4, 6, "n1/(n0^4*L^6)"),
-    (3, 2, "n1/(n0^3*L^2)"),
+# (i, j, name) of the products value*n^-i*L^-j the routes form from n1, and from c_s
+_NUMERATORS = (
+    ("dispersion coefficient",
+     ((0, 0, "n1"), (4, 5, "n1/(n0^4*L^5)"), (4, 6, "n1/(n0^4*L^6)"), (3, 2, "n1/(n0^3*L^2)"))),
+    ("surface coefficient", ((0, 0, "c_s"), (0, 4, "c_s/L^4"), (0, 5, "c_s/L^5"))),
 )
-_CS_PRODUCTS = ((0, 0, "c_s"), (0, 4, "c_s/L^4"), (0, 5, "c_s/L^5"))
+_WITHIN = f"must lie within 1e-{_DECADES} and 1e{_DECADES}"
 
 
 class Method(Enum):
@@ -94,7 +93,7 @@ def range_error(L, model: DispersionModel, surface: Optional[SurfaceTermSpec] = 
         ends = (column.argmin(), column.argmax())
         if not any(_out_of_range(_at(L, k), n, _at(n1, k), c_s, 1e-6) for k in ends):
             return None
-    for row in range(np.size(column)):
+    for row in range(column.size if isinstance(column, np.ndarray) else 1):
         message = _out_of_range(_at(L, row), n, _at(n1, row), c_s)
         if message:
             return row, ValueError(message)
@@ -112,36 +111,31 @@ def _out_of_range(L: float, n: float, n1: float, c_s: float, margin: float = 0.0
     # never overflows or divides by an underflowed zero, when n^4, L^6
     # and n^4*L^6 do: its exponent is a weighted mean of theirs and 0.
     log_L, log_n = math.log10(L), math.log10(n)
-    within = f"must lie within 1e-{_DECADES} and 1e{_DECADES}"
-    checks = [
-        (abs(6.0 * log_L), f"separation {L!r} out of range: L^6 {within}"),
-        (abs(4.0 * log_n), f"refractive index {n!r} out of range: n^4 {within}"),
-        (abs(6.0 * log_L + 4.0 * log_n),
-         f"separation {L!r} out of range at refractive index {n!r}: n^4*L^6 {within}"),
-    ]
+    bound = _DECADES - margin
+    if abs(6.0 * log_L) > bound:
+        return f"separation {L!r} out of range: L^6 {_WITHIN}"
+    if abs(4.0 * log_n) > bound:
+        return f"refractive index {n!r} out of range: n^4 {_WITHIN}"
+    if abs(6.0 * log_L + 4.0 * log_n) > bound:
+        return f"separation {L!r} out of range at refractive index {n!r}: n^4*L^6 {_WITHIN}"
     # n1 and c_s are numerators of the terms they scale: a product that
     # underflows rounds a term to the zero it nearly is, but one that
     # overflows prints inf.  Each product n1*n^-i*L^-j or c_s*L^-j the
     # routes form must stay below 1e300.
-    numerators = ((n1, "dispersion coefficient", _N1_PRODUCTS), (c_s, "surface coefficient", _CS_PRODUCTS))
-    checks += [
-        (math.log10(abs(value)) - i * log_n - j * log_L,
-         f"{name} {value!r} out of range at separation {L!r}: {product} must not exceed 1e{_DECADES}")
-        for value, name, products in numerators if value != 0.0 for i, j, product in products
-    ]
-    return next((message for decades, message in checks if decades > _DECADES - margin), None)
+    for value, (name, products) in zip((n1, c_s), _NUMERATORS):
+        if value == 0.0:
+            continue
+        log_value = math.log10(abs(value))
+        for i, j, product in products:
+            if log_value - i * log_n - j * log_L > bound:
+                return (f"{name} {value!r} out of range at separation {L!r}: "
+                        f"{product} must not exceed 1e{_DECADES}")
+    return None
 
 
 def _at(x, row: int):
     # one row of a float or an array, as a float
     return float(x[row]) if isinstance(x, np.ndarray) else x
-
-
-def _row(L, model: DispersionModel, row: int):
-    # separation and medium of one row of a column
-    if isinstance(model, Cauchy) and isinstance(model.n1, np.ndarray):
-        return _at(L, row), Cauchy(model.n0, _at(model.n1, row))
-    return _at(L, row), model
 
 
 def _power(x, p: int):

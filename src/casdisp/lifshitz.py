@@ -32,7 +32,9 @@ F(g)/(2*pi^2*n0*L^3).  Past the peak of kappa_1, at u_t = 1/sqrt(3g), the
 model is out of its domain, so the window ends there when u_t < u_max; the
 first-order part it drops is reported as a model error, and the
 beyond-validity flag is the trust region's alone.  F(g) and F'(g) are read
-from Chebyshev interpolants built once per ``QuadratureSpec``.
+from Chebyshev interpolants built once per ``QuadratureSpec``.  A column of
+rows is one evaluation, in which each full-kappa_1 row reads F(g) and each
+table row makes its own node pass.
 
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
 QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
@@ -54,7 +56,7 @@ dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Callable, NamedTuple, Optional
@@ -62,7 +64,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .closed_form import EnergyBreakdown, Method, Scenario, SurfaceTermSpec, surface_energy
-from .closed_form import _check_positive, _power, _row
+from .closed_form import _check_positive, _power
 from .dispersion import (
     DispersionModel,
     Tabulated,
@@ -525,27 +527,22 @@ def _full_piece(quad: QuadratureSpec, piece: int) -> _Chebyshev:
     return _Chebyshev(lo, hi, fits[0], fits[1], tuple(errors))
 
 
-def _full_numbers(g: float, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
-    # (F(g), F'(g)) of a g > 0: interpolated where a piece covers g,
-    # integrated directly past them, plus, where the window ends at u_max
-    # short of the peak, a bound on what it drops
+def _full_numbers(g: float, quad: QuadratureSpec) -> tuple[float, float, float, float]:
+    # F(g), its error, F'(g) and its error, of a g > 0: interpolated where a
+    # piece covers g, integrated directly past them, plus, where the window
+    # ends at u_max short of the peak, a bound on what it drops
     u_max = quad.u_max
     if 3.0 * g * u_max * u_max <= 1.0:
         piece, v = _full_piece(quad, 0), g
     elif 3.0 * g * _U_MIN * _U_MIN <= 1.0:
         piece, v = _full_piece(quad, 1), -0.5 * math.log(3.0 * g)
     else:
-        samples = _full_samples(np.array([g]), quad)
-        raw, raw_error, slope, slope_error = (float(a[0]) for a in samples)
-        return Estimate(raw, raw_error), Estimate(slope, slope_error)
+        return tuple(float(a[0]) for a in _full_samples(np.array([g]), quad))
     ratio, slope = piece(v)
     ratio_error, slope_error = piece.errors
     raw_tail, slope_tail = _window_tail_bound(g, u_max)
     rounding = _ROUNDING * abs(_e0_number(quad).value)
-    return (
-        Estimate(g * ratio, g * ratio_error + rounding + raw_tail),
-        Estimate(slope, slope_error + slope_tail),
-    )
+    return g * ratio, g * ratio_error + rounding + raw_tail, slope, slope_error + slope_tail
 
 
 def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
@@ -594,43 +591,61 @@ def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
     return min(g * quartic, linear), quartic + edge
 
 
-def _full_kappa1(
-    L: float, model: DispersionModel, quad: QuadratureSpec
-) -> tuple[Estimate, Estimate, bool, float]:
+def _per_row(numbers: Callable[..., tuple], column, *args) -> tuple:
+    # numbers(row, *args), a tuple of floats, for a float, or for each row
+    # of an array as a tuple of arrays
+    if isinstance(column, np.ndarray):
+        return tuple(np.array([numbers(x, *args) for x in column.tolist()]).T)
+    return numbers(column, *args)
+
+
+def _full_kappa1(L, model: DispersionModel, quad: QuadratureSpec) -> tuple:
     # (delta_e, its share of the force, whether the window ended at the
-    # peak, the model error).  delta_e = F(g)/(2*pi^2*n0*L^3) and, as
-    # dg/dL = -2g/L, its share is exactly -d(delta_e)/dL =
-    # (3F + 2g*F')/(2*pi^2*n0*L^4).  Past the peak the model is out of its
-    # domain; the model error bounds the first-order part dropped there.
+    # peak, the model error) of a row, or arrays of them over a column.
+    # delta_e = F(g)/(2*pi^2*n0*L^3) and, as dg/dL = -2g/L, its share is
+    # exactly -d(delta_e)/dL = (3F + 2g*F')/(2*pi^2*n0*L^4).  Each row reads
+    # F(g) alone: a numpy Clenshaw over a sweep's g column is slower.
     _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
-    g = n1 / (n0**3 * L**2)
-    if g == 0.0:
-        return Estimate(0.0, 0.0), Estimate(0.0, 0.0), False, 0.0
-    raw, slope = _full_numbers(g, quad)
-    scale = 1.0 / (_TWO_PI_SQ * n0 * L**3)
-    delta = _scaled(raw, scale)
+    g = n1 / (n0**3 * _power(L, 2))
+    raw, raw_error, slope, slope_error, dropped = _per_row(_full_row, g, quad)
+    scale = 1.0 / (_TWO_PI_SQ * n0 * _power(L, 3))
     shift = Estimate(
-        (3.0 * raw.value + 2.0 * g * slope.value) * scale / L,
-        (3.0 * raw.error + 2.0 * g * slope.error) * scale / L,
+        (3.0 * raw + 2.0 * g * slope) * scale / L,
+        (3.0 * raw_error + 2.0 * g * slope_error) * scale / L,
     )
     peak = 3.0 * g * quad.u_max**2 > 1.0
-    model_error = 0.0
-    if peak:
+    return _scaled(Estimate(raw, raw_error), scale), shift, peak, g * dropped * scale
+
+
+def _full_row(g: float, quad: QuadratureSpec) -> tuple[float, float, float, float, float]:
+    # F(g), its error, F'(g), its error and, over g, the first-order part
+    # that a window ending at the peak drops, where the model is out of its
+    # domain; zeros at g = 0
+    if g == 0.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    raw, raw_error, slope, slope_error = _full_numbers(g, quad)
+    dropped = 0.0
+    if 3.0 * g * quad.u_max**2 > 1.0:
         # int_{u_t}^inf |u^4*log(1 - e^(-2u))| du is at most the whole
         # integral, pi^6/1260, and below _delta_tail_bound(u_t) for u_t >= 1
         u_t = 1.0 / math.sqrt(3.0 * g)
         dropped = min(_delta_tail_bound(max(u_t, 1.0)), math.pi**6 / 1260.0)
-        model_error = g * dropped * scale
-    return delta, shift, peak, model_error
+    return raw, raw_error, slope, slope_error, dropped
 
 
-def _tabulated_full(
-    L: float, model: Tabulated, quad: QuadratureSpec
-) -> tuple[Estimate, Estimate]:
-    # (energy, force), from one pass over [I(x, 1), G(x)]: the force is
-    # -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
+def _tabulated_full(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
+    # (energy, force) of a row, or arrays of them over a column: the force
+    # is -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
     n = min(model.n)
+    raw, raw_error, slope, slope_error = _per_row(_table_pass, L, model, n, quad)
+    scale = 1.0 / (_TWO_PI_SQ * n * _power(L, 3))
+    energy = _scaled(Estimate(raw, raw_error), scale)
+    return energy, _scaled(Estimate(slope, slope_error), -scale / L)
+
+
+def _table_pass(L: float, model: Tabulated, n: float, quad: QuadratureSpec) -> tuple:
+    # a row's two integrals and their errors, from one pass over [I(x, 1), G(x)]
     u_max = quad.u_max
     edge = None  # I(x(u_max), 1), from the first pass
 
@@ -647,13 +662,9 @@ def _tabulated_full(
         return np.stack((inner, _slope_integrand(x, inner)))
 
     breaks = _graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi))
-    raw, raw_slope = _integrate_panels(integrand, breaks, quad)
-    slope = Estimate(
-        raw_slope.value - u_max * edge, raw_slope.error + _force_tail_bound(u_max)
-    )
-    scale = 1.0 / (_TWO_PI_SQ * n * L**3)
-    energy = _scaled(Estimate(raw.value, raw.error + _e0_tail_bound(u_max)), scale)
-    return energy, _scaled(slope, -scale / L)
+    raw, slope = _integrate_panels(integrand, breaks, quad)
+    return (raw.value, raw.error + _e0_tail_bound(u_max),
+            slope.value - u_max * edge, slope.error + _force_tail_bound(u_max))
 
 
 def total_energy_lifshitz(
@@ -677,16 +688,11 @@ def lifshitz_rows(
 ) -> EnergyBreakdown:
     """``total_energy_lifshitz`` of a separation and medium, or of a column of rows.
 
-    As in ``closed_form.analytic_rows``.  Split rows are arithmetic on c0 and
-    c1; a full-kappa_1 row reads F(g), and a table row makes its pass, alone.
+    As in ``closed_form.analytic_rows``, with one body for a row and a
+    column: split rows are arithmetic on c0 and c1, and inside the one
+    evaluation each full-kappa_1 row reads F(g) and each table row makes its
+    own node pass.
     """
-    column = L if isinstance(L, np.ndarray) else getattr(model, "n1", None)
-    if mode is Mode.FULL_KAPPA1 and isinstance(column, np.ndarray):
-        rows = [lifshitz_rows(*_row(L, model, k), surface, quad, mode) for k in range(column.size)]
-        return EnergyBreakdown(method=Method.LIFSHITZ, **{
-            field.name: np.array([getattr(row, field.name) for row in rows])
-            for field in fields(EnergyBreakdown) if field.name != "method"
-        })
     e_s = surface_energy(L, surface) if surface else 0.0
     model_error = 0.0
     if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):

@@ -148,3 +148,57 @@ class TestForces:
             Scenario(scenario.L - h, scenario.model, scenario.surface)
         ).total
         assert force_analytic(scenario) == pytest.approx(-(up - down) / (2.0 * h), rel=1e-7)
+
+
+class TestRangeRules:
+    """Each range rule's exact message, and which rule speaks when two fail."""
+
+    WITHIN = " must lie within 1e-300 and 1e300"
+    BELOW = " must not exceed 1e300"
+    TABLE = Tabulated((0.0, 1.0), (1e-80, 2.0))
+
+    @pytest.mark.parametrize(
+        "L, model, c_s, message",
+        [
+            (0.0, Constant(1.0), None, "separation must be positive and finite, got 0.0"),
+            (-2.5, Constant(1.0), None, "separation must be positive and finite, got -2.5"),
+            (math.inf, Constant(1.0), None, "separation must be positive and finite, got inf"),
+            (math.nan, Constant(1.0), None, "separation must be positive and finite, got nan"),
+            (1e-51, Constant(1.0), None, "separation 1e-51 out of range: L^6" + WITHIN),
+            (1.0, Constant(1e76), None, "refractive index 1e+76 out of range: n^4" + WITHIN),
+            (1.0, TABLE, None, "refractive index 1e-80 out of range: n^4" + WITHIN),
+            (1e40, Constant(1e30), None,
+             "separation 1e+40 out of range at refractive index 1e+30: n^4*L^6" + WITHIN),
+            (1.0, Cauchy(1.0, 1e301), None,
+             "dispersion coefficient 1e+301 out of range at separation 1.0: n1" + BELOW),
+            (1e-3, Cauchy(1.0, 1e290), None,
+             "dispersion coefficient 1e+290 out of range at separation 0.001: "
+             "n1/(n0^4*L^5)" + BELOW),
+            (1e-10, Cauchy(1.0, 1e245), None,
+             "dispersion coefficient 1e+245 out of range at separation 1e-10: "
+             "n1/(n0^4*L^6)" + BELOW),
+            (1e10, Cauchy(1e-10, 1e295), None,
+             "dispersion coefficient 1e+295 out of range at separation 10000000000.0: "
+             "n1/(n0^3*L^2)" + BELOW),
+            (1.0, Constant(1.0), -1e301,
+             "surface coefficient -1e+301 out of range at separation 1.0: c_s" + BELOW),
+            (1e-3, Constant(1.0), 1e290,
+             "surface coefficient 1e+290 out of range at separation 0.001: c_s/L^4" + BELOW),
+            (1e-10, Constant(1.0), 1e255,
+             "surface coefficient 1e+255 out of range at separation 1e-10: c_s/L^5" + BELOW),
+            # two rules fail: the first in the rules' order speaks
+            (1e-60, Constant(1e-80), None, "separation 1e-60 out of range: L^6" + WITHIN),
+            (1.0, Cauchy(1.0, 1e301), 1e301,
+             "dispersion coefficient 1e+301 out of range at separation 1.0: n1" + BELOW),
+        ],
+        ids=[
+            "zero-L", "negative-L", "inf-L", "nan-L", "L^6", "n^4", "table-n^4", "n^4*L^6",
+            "n1", "n1/(n0^4*L^5)", "n1/(n0^4*L^6)", "n1/(n0^3*L^2)", "c_s", "c_s/L^4",
+            "c_s/L^5", "L^6-and-n^4", "n1-and-c_s",
+        ],
+    )
+    def test_message(self, L, model, c_s, message):
+        surface = SurfaceTermSpec(c_s) if c_s is not None else None
+        with pytest.raises(ValueError) as excinfo:
+            Scenario(L, model, surface)
+        assert str(excinfo.value) == message

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casdisp import lifshitz
 from casdisp.cli import main
 from casdisp.closed_form import (
     Scenario,
@@ -141,6 +142,28 @@ class TestRowsMatchFloatCalls:
             for x in L
         ]
         _assert_rows_match(column, scalars)
+
+    @pytest.mark.parametrize("column", ["L", "n1", "table"])
+    def test_one_evaluation_per_column(self, monkeypatch, column):
+        # a column is one call of lifshitz_rows, not one more per row
+        calls = []
+        original = lifshitz.lifshitz_rows
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lifshitz, "lifshitz_rows", counted)
+        if column == "table":
+            xi = [40.0 * (k / 39) ** 2 for k in range(40)]
+            model = Tabulated(tuple(xi), tuple(math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in xi))
+            L = np.geomspace(0.5, 10.0, 3)
+        elif column == "L":
+            model, L = Cauchy(1.1, 1e-2), np.geomspace(0.2, 12.0, 5)
+        else:
+            model, L = Cauchy(1.1, np.array([0.0, 1e-3, 2e-2, 5e-2])), 1.2
+        lifshitz.lifshitz_rows(L, model, None, DEFAULT_QUADRATURE, Mode.FULL_KAPPA1)
+        assert len(calls) == 1
 
     def test_si_column(self):
         units = UnitSystem(UnitMode.SI, 1e-9)
