@@ -171,24 +171,16 @@ def run_validation_checks(
     """
     checks: list[CheckResult] = []
 
-    for L in (0.5, 1.0, 2.0, 5.0):
-        for n0 in (1.0, 1.5, 2.0, 3.0):
-            report = compare_methods(Scenario(L, Constant(n0)), quad, tol)
-            worst = max(
-                report.rel_discrepancy_e0,
-                report.rel_discrepancy_delta,
-                report.rel_discrepancy_total,
-            )
-            checks.append(
-                _check(
-                    f"method agreement, dispersion-free, L={L} n0={n0}",
-                    report.passed,
-                    f"max rel discrepancy {worst:.3e} vs tol {tol:.1e}",
-                )
-            )
-
-    for L, n0, n1 in ((1.0, 1.0, 1e-4), (1.0, 1.5, 1e-3), (2.0, 2.0, 1e-3)):
-        report = compare_methods(Scenario(L, Cauchy(n0, n1)), quad, tol)
+    agreements = [
+        (f"dispersion-free, L={L} n0={n0}", Scenario(L, Constant(n0)))
+        for L in (0.5, 1.0, 2.0, 5.0)
+        for n0 in (1.0, 1.5, 2.0, 3.0)
+    ] + [
+        (f"dispersive, L={L} n0={n0} n1={n1}", Scenario(L, Cauchy(n0, n1)))
+        for L, n0, n1 in ((1.0, 1.0, 1e-4), (1.0, 1.5, 1e-3), (2.0, 2.0, 1e-3))
+    ]
+    for name, scenario in agreements:
+        report = compare_methods(scenario, quad, tol)
         worst = max(
             report.rel_discrepancy_e0,
             report.rel_discrepancy_delta,
@@ -196,7 +188,7 @@ def run_validation_checks(
         )
         checks.append(
             _check(
-                f"method agreement, dispersive, L={L} n0={n0} n1={n1}",
+                f"method agreement, {name}",
                 report.passed,
                 f"max rel discrepancy {worst:.3e} vs tol {tol:.1e}",
             )

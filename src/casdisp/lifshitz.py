@@ -29,12 +29,12 @@ so the error estimates are relative at every separation.  FULL_KAPPA1
 keeps the complete kappa_1 = n0*xi - n1*xi^3 in the lower limit, so that
 kappa_1*L = u - g*u^3 with g = n1/(n0^3*L^2), and the correction is
 F(g)/(2*pi^2*n0*L^3).  Past the peak of kappa_1, at u_t = 1/sqrt(3g), the
-model is out of its domain, so the window ends there when u_t < u_max; the
-first-order part it drops is reported as a model error, and the
-beyond-validity flag is the trust region's alone.  F(g) and F'(g) are read
-from Chebyshev interpolants built once per ``QuadratureSpec``.  A column of
-rows is one evaluation, in which each full-kappa_1 row reads F(g) and each
-table row makes its own node pass.
+model is out of its domain, so the window ends there when 3g*u_max^2 > 1,
+decided once per row; the first-order part it drops is reported as a
+model error, and the beyond-validity flag is the trust region's alone.
+F(g) and F'(g) are read from Chebyshev interpolants built once per
+``QuadratureSpec``.  A column of rows is one evaluation, in which each
+full-kappa_1 row reads F(g) and each table row makes its own node pass.
 
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
 QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
@@ -421,23 +421,26 @@ def delta_e_lifshitz_full(
     F(g)/(2*pi^2*n0*L^3), with F(g) = int_0^U [I(u - g*u^3, 1) - I(u, 1)] du
     and g = n1/(n0^3*L^2): the pointwise difference keeps the small
     correction free of cancellation against the leading term.  The window
-    ends at U = min(u_max, u_t), where u_t = 1/sqrt(3g) is the peak of
-    kappa_1.  Returns the estimate and whether the window ended at the
-    peak (u_t < u_max).
+    ends at the peak of kappa_1, U = u_t = 1/sqrt(3g), where 3g*u_max^2 > 1,
+    and at U = u_max otherwise.  Returns the estimate and whether the
+    window ended at the peak, which is exactly when the breakdown's
+    ``model_error`` is positive (barring underflow).
     """
     delta, _, peak, _ = _full_kappa1(L, model, quad)
     return delta, peak
 
 
 # F(g) and F'(g) come from Chebyshev interpolants of F(g)/g and F'(g),
-# built once per QuadratureSpec, on two pieces.  Piece 0 takes g in
-# [0, g_k], g_k = 1/(3*u_max^2), where the window is [0, u_max] and both
-# are smooth in g down to g = 0.  Piece 1 takes the window's end U = u_t in
-# [_U_MIN, u_max], where both are smooth in log U.  Below U = 3 the
-# coefficients decay too slowly, so rows with g > 1/(3*_U_MIN^2), outside
-# the trust region for every n0 >= 0.9, integrate directly.  The node
-# counts leave the last coefficients at the samples' noise, about 1e-13
-# and 1e-15 of the first.
+# built once per QuadratureSpec, on two pieces.  Piece 0 takes the g with
+# 3*g*u_max*u_max <= 1, up to g_k = 1/(3*u_max^2), where the window is
+# [0, u_max] and both are smooth in g down to g = 0.  Every larger g ends
+# its window at the peak: piece 1 takes U = u_t in [_U_MIN, u_max], where
+# both are smooth in log U.  Below U = 3 the coefficients decay too slowly,
+# so rows with 3*g*_U_MIN*_U_MIN > 1, outside the trust region for every
+# n0 >= 0.9, integrate directly.  _full_row tests each comparison once per
+# row, and _full_samples the first in the same rounding order over an
+# array.  The node counts leave the last coefficients at the samples'
+# noise, about 1e-13 and 1e-15 of the first.
 _U_MIN = 3.0
 _PIECE_NODES = (20, 32)
 
@@ -527,28 +530,12 @@ def _full_piece(quad: QuadratureSpec, piece: int) -> _Chebyshev:
     return _Chebyshev(lo, hi, fits[0], fits[1], tuple(errors))
 
 
-def _full_numbers(g: float, quad: QuadratureSpec) -> tuple[float, float, float, float]:
-    # F(g), its error, F'(g) and its error, of a g > 0: interpolated where a
-    # piece covers g, integrated directly past them, plus, where the window
-    # ends at u_max short of the peak, a bound on what it drops
-    u_max = quad.u_max
-    if 3.0 * g * u_max * u_max <= 1.0:
-        piece, v = _full_piece(quad, 0), g
-    elif 3.0 * g * _U_MIN * _U_MIN <= 1.0:
-        piece, v = _full_piece(quad, 1), -0.5 * math.log(3.0 * g)
-    else:
-        return tuple(float(a[0]) for a in _full_samples(np.array([g]), quad))
-    ratio, slope = piece(v)
-    ratio_error, slope_error = piece.errors
-    raw_tail, slope_tail = _window_tail_bound(g, u_max)
-    rounding = _ROUNDING * abs(_e0_number(quad).value)
-    return g * ratio, g * ratio_error + rounding + raw_tail, slope, slope_error + slope_tail
-
-
-def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
+def _window_tail_bound(g: float, u_max: float, u_t: float) -> tuple[float, float]:
     # Where the window stops at u_max short of the peak u_t, bounds on what
     # F(g) and F'(g) drop: the integrals over [u_max, u_t] and, for F', the
-    # moving end's term.  There x = u - g*u^3 lies in [2u/3, u], and with
+    # moving end's term, which F'(g) jumps by at g_k.  Where rounding next to
+    # g_k leaves [u_max, u_t] empty or reversed, the integrals are 0 and the
+    # end's term stays.  There x = u - g*u^3 lies in [2u/3, u], and with
     # f(x) = x*e^(-2x)/(1 - e^(-2x)), which falls in x:
     # - |I(x, 1) - I(u, 1)| <= min((u - x)*f(x), |I(x, 1)|)
     #   <= min(g*u^4/(1 - e^(-4*u_max/3)), u*zeta(2)/2 + zeta(3)/4) * e^(h(u))
@@ -560,9 +547,12 @@ def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
     # h is convex, so it lies below its chord on [u_max, u_t], of slope -m,
     # and int p(u)*e^(h(u)) du <= e^(h(u_max))*sum_k p^(k)(u_max)/m^(k+1)
     # for the rising polynomials p here, or p(u_t) times the length.
-    if not 0.0 < 3.0 * g * u_max * u_max < 1.0:
-        return 0.0, 0.0
-    u_t = 1.0 / math.sqrt(3.0 * g)
+    end = min(u_t, 1e3)
+    edge = 1.5 * end**3 * math.exp(-4.0 * end / 3.0) * (
+        end * ZETA_VALUES[2] / 3.0 + ZETA_VALUES[3] / 4.0
+    )
+    if not u_t > u_max:
+        return 0.0, edge
     start = -2.0 * u_max + 2.0 * g * u_max**3
     span = u_t - u_max
     rate = (start + 4.0 * u_t / 3.0) / span
@@ -584,18 +574,14 @@ def _window_tail_bound(g: float, u_max: float) -> tuple[float, float]:
         (U * ZETA_VALUES[2] / 2.0 + ZETA_VALUES[3] / 4.0, ZETA_VALUES[2] / 2.0),
         u_t * ZETA_VALUES[2] / 2.0 + ZETA_VALUES[3] / 4.0,
     )
-    end = min(u_t, 1e3)
-    edge = 1.5 * end**3 * math.exp(-4.0 * end / 3.0) * (
-        end * ZETA_VALUES[2] / 3.0 + ZETA_VALUES[3] / 4.0
-    )
     return min(g * quartic, linear), quartic + edge
 
 
 def _per_row(numbers: Callable[..., tuple], column, *args) -> tuple:
-    # numbers(row, *args), a tuple of floats, for a float, or for each row
-    # of an array as a tuple of arrays
+    # numbers(row, *args), a tuple of numbers, for a float, or for each row
+    # of an array as a tuple of arrays, each of its numbers' own type
     if isinstance(column, np.ndarray):
-        return tuple(np.array([numbers(x, *args) for x in column.tolist()]).T)
+        return tuple(map(np.array, zip(*(numbers(x, *args) for x in column.tolist()))))
     return numbers(column, *args)
 
 
@@ -608,30 +594,44 @@ def _full_kappa1(L, model: DispersionModel, quad: QuadratureSpec) -> tuple:
     _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
     g = n1 / (n0**3 * _power(L, 2))
-    raw, raw_error, slope, slope_error, dropped = _per_row(_full_row, g, quad)
+    raw, raw_error, slope, slope_error, dropped, peak = _per_row(_full_row, g, quad)
     scale = 1.0 / (_TWO_PI_SQ * n0 * _power(L, 3))
     shift = Estimate(
         (3.0 * raw + 2.0 * g * slope) * scale / L,
         (3.0 * raw_error + 2.0 * g * slope_error) * scale / L,
     )
-    peak = 3.0 * g * quad.u_max**2 > 1.0
     return _scaled(Estimate(raw, raw_error), scale), shift, peak, g * dropped * scale
 
 
-def _full_row(g: float, quad: QuadratureSpec) -> tuple[float, float, float, float, float]:
-    # F(g), its error, F'(g), its error and, over g, the first-order part
-    # that a window ending at the peak drops, where the model is out of its
-    # domain; zeros at g = 0
+def _full_row(g: float, quad: QuadratureSpec) -> tuple[float, float, float, float, float, bool]:
+    # F(g), its error, F'(g), its error, over g the first-order part that
+    # the window drops past the peak, where the model is out of its domain,
+    # and whether the window ends at the peak; zeros at g = 0.  One test
+    # decides where the window ends: at u_max, read from piece 0 with a
+    # bound on what it drops short of the peak, or at u_t, read from piece
+    # 1 or, past it, integrated directly.
     if g == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    raw, raw_error, slope, slope_error = _full_numbers(g, quad)
-    dropped = 0.0
-    if 3.0 * g * quad.u_max**2 > 1.0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0, False
+    u_max = quad.u_max
+    u_t = 1.0 / math.sqrt(3.0 * g)
+    peak = 3.0 * g * u_max * u_max > 1.0
+    if not peak:
+        piece, v, dropped = _full_piece(quad, 0), g, 0.0
+        raw_tail, slope_tail = _window_tail_bound(g, u_max, u_t)
+    else:
         # int_{u_t}^inf |u^4*log(1 - e^(-2u))| du is at most the whole
         # integral, pi^6/1260, and below _delta_tail_bound(u_t) for u_t >= 1
-        u_t = 1.0 / math.sqrt(3.0 * g)
         dropped = min(_delta_tail_bound(max(u_t, 1.0)), math.pi**6 / 1260.0)
-    return raw, raw_error, slope, slope_error, dropped
+        if 3.0 * g * _U_MIN * _U_MIN > 1.0:
+            samples = _full_samples(np.array([g]), quad)
+            return (*(float(a[0]) for a in samples), dropped, True)
+        piece, v = _full_piece(quad, 1), -0.5 * math.log(3.0 * g)
+        raw_tail = slope_tail = 0.0
+    ratio, slope = piece(v)
+    ratio_error, slope_error = piece.errors
+    rounding = _ROUNDING * abs(_e0_number(quad).value)
+    return (g * ratio, g * ratio_error + rounding + raw_tail, slope, slope_error + slope_tail,
+            dropped, peak)
 
 
 def _tabulated_full(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:

@@ -731,6 +731,52 @@ class TestFullKappa1Interpolant:
         r = 2.0 * math.pi**2 * 1e-2 / 7.0
         assert abs(fine.total - closed) <= 16.0 * r * r * abs(closed)
 
+    # rows next to g_k = 1/(3*u_max^2) that rounding once broke: the first
+    # raised ZeroDivisionError, the second added a negative bound on what the
+    # window drops, and the third was read from piece 0 while its flag and
+    # model error said the window ended at the peak
+    @pytest.mark.parametrize(
+        "tail_cut, g",
+        [
+            (7.051321490663215e-17, 0.000963982821520942),
+            (1.7980597464386754e-14, 0.0013310840902773062),
+            (5e-17, 0.0009464055230051779),
+        ],
+    )
+    def test_rows_next_to_g_k_that_rounding_broke(self, monkeypatch, tail_cut, g):
+        spec = QuadratureSpec(tail_cut=tail_cut)
+        _rows_next_to_g_k(monkeypatch, [g], spec)
+        dropped = lifshitz._window_tail_bound(g, spec.u_max, 1.0 / math.sqrt(3.0 * g))
+        assert min(dropped) >= 0.0
+
+    @pytest.mark.parametrize(
+        "tail_cut", [1e-16, 5e-17, 7.051321490663215e-17, 1.7980597464386754e-14]
+    )
+    def test_window_decided_once_next_to_g_k(self, monkeypatch, tail_cut):
+        # 8 ulps either side of g_k, where the window's end moves from u_max
+        # to the peak and F'(g) jumps by the moving end's term
+        spec = QuadratureSpec(tail_cut=tail_cut)
+        g_k = 1.0 / (3.0 * spec.u_max * spec.u_max)
+        gs = [g_k]
+        for direction in (0.0, math.inf):
+            g = g_k
+            for _ in range(8):
+                g = math.nextafter(g, direction)
+                gs.append(g)
+        gs.sort()
+        rows, peaks = _rows_next_to_g_k(monkeypatch, gs, spec)
+        assert peaks[0] is False and peaks[-1] is True
+        for g in gs:
+            dropped = lifshitz._window_tail_bound(g, spec.u_max, 1.0 / math.sqrt(3.0 * g))
+            assert min(dropped) >= 0.0
+        for a, b in zip(rows, rows[1:]):
+            assert abs(a.total - b.total) <= a.error_estimate + b.error_estimate
+            assert abs(a.force - b.force) <= a.force_error + b.force_error
+        # a column of the same media takes the same decisions
+        _, column_peaks = delta_e_lifshitz_full(1.0, Cauchy(1.0, np.array(gs)), spec)
+        assert column_peaks.dtype == bool
+        assert column_peaks.tolist() == peaks
+
     def test_model_error(self):
         # zero where the window ends at u_max, short of the peak
         below = total_energy_lifshitz(Scenario(1.0, Cauchy(1.0, 5e-4)), mode=Mode.FULL_KAPPA1)
@@ -747,6 +793,28 @@ class TestFullKappa1Interpolant:
         dropped, _ = quad(lambda u: u**4 * math.log1p(-math.exp(-2.0 * u)), u_t, math.inf)
         assert n1 * abs(dropped) / (2.0 * math.pi**2 * L**5) <= edge.model_error
         assert edge.error_estimate < 1e-9 * abs(edge.total)
+
+
+def _rows_next_to_g_k(monkeypatch, gs, spec: QuadratureSpec) -> tuple[list, list]:
+    # full-kappa_1 breakdowns at L = n0 = 1, where g = n1, and the flags of
+    # delta_e_lifshitz_full, each checked against the piece its row read
+    pieces = []
+    read = lifshitz._full_piece
+    monkeypatch.setattr(
+        lifshitz, "_full_piece", lambda quad, piece: pieces.append(piece) or read(quad, piece)
+    )
+    rows, peaks = [], []
+    for g in gs:
+        model = Cauchy(1.0, g)
+        breakdown = total_energy_lifshitz(Scenario(1.0, model), spec, Mode.FULL_KAPPA1)
+        _, at_peak = delta_e_lifshitz_full(1.0, model, spec)
+        # both read piece 1 exactly where the window ends at the peak
+        assert pieces[-2:] == [int(at_peak)] * 2
+        assert at_peak == (breakdown.model_error > 0.0)
+        assert min(breakdown.error_estimate, breakdown.force_error, breakdown.model_error) >= 0.0
+        rows.append(breakdown)
+        peaks.append(at_peak)
+    return rows, peaks
 
 
 def _central_difference(
