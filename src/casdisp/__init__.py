@@ -31,10 +31,9 @@ from .dispersion import (
     DispersionModel,
     Tabulated,
     UnsupportedModelError,
-    ValidityReport,
     kappa_lower,
     load_index_table,
-    validity,
+    min_separation,
 )
 from .lifshitz import (
     DEFAULT_QUADRATURE,
@@ -83,7 +82,6 @@ __all__ = [
     "UnitSystem",
     "UnsupportedModelError",
     "ValidityPoint",
-    "ValidityReport",
     "ZETA_VALUES",
     "compare_methods",
     "convert_units",
@@ -101,6 +99,7 @@ __all__ = [
     "kappa_lower",
     "load_index_table",
     "log_one_minus_exp",
+    "min_separation",
     "polylog",
     "polylog_exp_neg",
     "richardson",
@@ -108,7 +107,6 @@ __all__ = [
     "surface_energy",
     "total_energy_analytic",
     "total_energy_lifshitz",
-    "validity",
     "validity_sweep",
     "zeta_value",
     "__version__",

@@ -29,7 +29,6 @@ from .lifshitz import (
     Mode,
     QuadratureError,
     QuadratureSpec,
-    check_step_fraction,
     lifshitz_rows,
 )
 from .units import UnitMode, UnitSystem, convert_units
@@ -135,7 +134,6 @@ def _add_shared_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=("analytic", "lifshitz", "both"), help="evaluation route")
     parser.add_argument("--mode", choices=("split", "full"), help="quadrature mode (default: split; full for tabulated data)")
     parser.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol, help="relative quadrature tolerance (default %(default)g)")
-    parser.add_argument("--h-rel", type=float, default=1e-4, help="unused, as the force is an exact derivative; still checked to lie in [1e-7, 1e-2] (default %(default)g)")
     parser.add_argument("--si", action="store_true", help="emit SI values (J/m^2, Pa)")
     parser.add_argument("--length-unit", type=float, help="meters per natural length unit (with --si)")
     parser.add_argument("--format", choices=("json", "csv"), help="output format")
@@ -229,7 +227,6 @@ def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None
     surface = SurfaceTermSpec(args.cs) if args.cs is not None else None
     quad = QuadratureSpec(rel_tol=args.rel_tol)
     units = UnitSystem(UnitMode.SI, args.length_unit) if args.si else UnitSystem()
-    check_step_fraction(args.h_rel)  # accepted and range-checked on every method
     if args.mode is not None:
         mode = Mode(args.mode)
     else:

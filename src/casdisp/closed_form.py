@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersion import Cauchy, DispersionModel, Tabulated, cauchy_coefficients, validity
+from .dispersion import Cauchy, DispersionModel, Tabulated, cauchy_coefficients, min_separation
 
 __all__ = [
     "Method",
@@ -214,7 +214,7 @@ def analytic_rows(L, model: DispersionModel, surface=None) -> EnergyBreakdown:
         force = force + 4.0 * surface.c_s / _power(L, 5)
     return EnergyBreakdown(
         e0=e0, delta_e=delta, e_surface=e_s, total=e0 + delta + e_s, method=Method.ANALYTIC,
-        error_estimate=0.0, beyond_validity=validity(model).is_valid_at(L) ^ True, force=force,
+        error_estimate=0.0, beyond_validity=L <= min_separation(model), force=force,
         force_error=0.0,
     )
 

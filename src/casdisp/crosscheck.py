@@ -18,7 +18,7 @@ from .closed_form import (
     delta_e_analytic,
     total_energy_analytic,
 )
-from .dispersion import Cauchy, Constant, cauchy_coefficients, validity
+from .dispersion import Cauchy, Constant, cauchy_coefficients, min_separation
 from .lifshitz import (
     DEFAULT_QUADRATURE,
     Mode,
@@ -130,7 +130,7 @@ def first_order_slope(
     if not n1_probe > 0.0:
         raise ValueError(f"probe must be positive, got {n1_probe}")
     model = Cauchy(n0, n1_probe)
-    if not validity(model).is_valid_at(L):
+    if not L > min_separation(model):
         raise ValueError(
             f"probe {n1_probe} leaves the trust region for separation {L}"
         )
@@ -142,17 +142,15 @@ def validity_sweep(
     model: Cauchy, L_grid: Sequence[float]
 ) -> list[ValidityPoint]:
     """Trust-region bound dE/E0 < 1/(14*n0^3) across a separation grid."""
-    report = validity(model)
     n0, n1 = cauchy_coefficients(model)
+    bound, lowest = 1.0 / (14.0 * n0**3), min_separation(model)
     points = []
     for L in L_grid:
         if not L > 0.0:
             raise ValueError(f"separation must be positive, got {L}")
         ratio = 2.0 * math.pi**2 * n1 / (7.0 * n0**3 * L * L)
-        within = ratio < report.ratio_bound if report.is_valid_at(L) else None
-        points.append(
-            ValidityPoint(L=L, ratio=ratio, bound=report.ratio_bound, within_bound=within)
-        )
+        within = ratio < bound if L > lowest else None
+        points.append(ValidityPoint(L=L, ratio=ratio, bound=bound, within_bound=within))
     return points
 
 

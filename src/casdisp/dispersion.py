@@ -6,7 +6,8 @@ imaginary-frequency axis.  The quadratic model continues to imaginary
 frequency omega -> i*xi as kappa_1 = n0*xi - n1*xi^3, which turns over and
 goes negative beyond xi = sqrt(n0/n1); past that point the model has left
 its domain, so the lower limit is clamped at zero.  The full-kappa_1 route
-ends its window at the peak of kappa_1, before the clamp.
+ends its window at the peak of kappa_1, before the clamp.  The quadratic
+model is trusted only where L > ``min_separation`` = 2*pi*sqrt(n1).
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ __all__ = [
     "Cauchy",
     "Tabulated",
     "DispersionModel",
-    "ValidityReport",
     "UnsupportedModelError",
     "cauchy_coefficients",
     "kappa_lower",
-    "validity",
+    "min_separation",
     "load_index_table",
 ]
 
@@ -166,22 +166,6 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 DispersionModel = Union[Constant, Cauchy, Tabulated]
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Trust region of the quadratic dispersion model.
-
-    The perturbative treatment holds for separations above
-    ``min_separation`` = 2*pi*sqrt(n1), where the relative size of the
-    dispersive correction stays below ``ratio_bound`` = 1/(14*n0^3).
-    """
-
-    min_separation: float
-    ratio_bound: float
-
-    def is_valid_at(self, separation: float) -> bool:
-        return separation > self.min_separation
-
-
 def kappa_lower(model: DispersionModel, xi):
     """Lower limit n(i*xi)*xi of the momentum integration at imaginary frequency xi.
 
@@ -212,19 +196,15 @@ def cauchy_coefficients(model: DispersionModel) -> tuple[float, float]:
     return model.n0, model.n1
 
 
-def validity(model: DispersionModel) -> ValidityReport:
-    """Trust region of the model; undefined for tabulated data.
+def min_separation(model: DispersionModel):
+    """Smallest separation 2*pi*sqrt(n1) of the trust region; undefined for tables.
 
-    The one statement of the rule L > 2*pi*sqrt(n1): every result's
-    beyond-validity flag comes from ``validity(model).is_valid_at(L)``.
-    A column of n1 gives an array of ``min_separation``.
+    The one statement of the rule: the perturbative treatment holds for
+    L > min_separation(model), and every result's beyond-validity flag is
+    L <= min_separation(model).  A column of n1 gives an array.
     """
-    n0, n1 = cauchy_coefficients(model)
-    root = np.sqrt(n1) if isinstance(n1, np.ndarray) else math.sqrt(n1)
-    return ValidityReport(
-        min_separation=2.0 * math.pi * root,
-        ratio_bound=1.0 / (14.0 * n0**3),
-    )
+    _, n1 = cauchy_coefficients(model)
+    return 2.0 * math.pi * (np.sqrt(n1) if isinstance(n1, np.ndarray) else math.sqrt(n1))
 
 
 def load_index_table(path) -> Tabulated:

@@ -65,13 +65,7 @@ import numpy as np
 
 from .closed_form import EnergyBreakdown, Method, Scenario, SurfaceTermSpec, surface_energy
 from .closed_form import _check_positive, _power
-from .dispersion import (
-    DispersionModel,
-    Tabulated,
-    cauchy_coefficients,
-    kappa_lower,
-    validity,
-)
+from .dispersion import DispersionModel, Tabulated, cauchy_coefficients, kappa_lower, min_separation
 from .special import ZETA_VALUES, log_one_minus_exp, polylog_exp_neg
 
 __all__ = [
@@ -87,7 +81,6 @@ __all__ = [
     "delta_e_lifshitz_full",
     "total_energy_lifshitz",
     "force_lifshitz",
-    "check_step_fraction",
 ]
 
 _TWO_PI_SQ = 2.0 * math.pi**2
@@ -712,8 +705,7 @@ def lifshitz_rows(
             # delta_e goes as 1/L^5
             shift = _scaled(delta, 5.0 / L)
         force = Estimate(leading.value + shift.value, leading.error + shift.error)
-        # ^ True negates a bool, or each flag of a column, alike
-        flagged = validity(model).is_valid_at(L) ^ True
+        flagged = L <= min_separation(model)
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")
     return EnergyBreakdown(
@@ -722,12 +714,6 @@ def lifshitz_rows(
         # e_s = c_s/L^4
         force=force.value + 4.0 * e_s / L, force_error=force.error, model_error=model_error,
     )
-
-
-def check_step_fraction(h_rel: float) -> None:
-    """Reject a force step fraction outside [1e-7, 1e-2]."""
-    if not 1e-7 <= h_rel <= 1e-2:
-        raise ValueError(f"step fraction must lie in [1e-7, 1e-2], got {h_rel}")
 
 
 def force_lifshitz(
@@ -744,9 +730,10 @@ def force_lifshitz(
     the full-kappa_1 and tabulated routes, and 4*e_surface/L on top.  Its
     error adds the node rule's error on the derivative integrand, the
     analytic tail bounds and the scaled error of e0.  ``h_rel``, once the
-    step of a central difference, is still checked by
-    ``check_step_fraction`` but no longer changes any result.
+    step of a central difference, must still lie in [1e-7, 1e-2] but
+    changes no result.
     """
-    check_step_fraction(h_rel)
+    if not 1e-7 <= h_rel <= 1e-2:
+        raise ValueError(f"step fraction must lie in [1e-7, 1e-2], got {h_rel}")
     breakdown = total_energy_lifshitz(scenario, quad, mode)
     return Estimate(breakdown.force, breakdown.force_error)

@@ -13,7 +13,7 @@ import pytest
 import casdisp
 from casdisp.cli import main
 from casdisp.closed_form import Scenario, total_energy_analytic
-from casdisp.dispersion import Cauchy, validity
+from casdisp.dispersion import Cauchy, min_separation
 from casdisp.lifshitz import Mode, QuadratureError, total_energy_lifshitz
 
 
@@ -383,27 +383,22 @@ class TestHandlerErrors:
         assert out == ""
         assert "unknown config keys: parser" in err
 
-    @pytest.mark.parametrize("mode", ["split", "full"])
-    def test_step_fraction_changes_no_output(self, capsys, mode):
-        outputs = [
-            run_cli(
-                capsys, "compute", "--L", "1.96", "--n0", "1.00677", "--n1", "0.0108094",
-                "--method", "both", "--mode", mode, "--format", "json", "--h-rel", h_rel,
-            )
-            for h_rel in ("1e-3", "1e-5")
-        ]
-        assert outputs[0][0] == 0
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("method", ["analytic", "lifshitz", "both"])
-    def test_step_fraction_checked_on_every_route(self, capsys, method):
-        code, out, err = run_cli(
-            capsys, "compute", "--L", "1", "--n0", "1", "--method", method,
-            "--format", "csv", "--h-rel", "5",
-        )
+    def test_step_fraction_is_no_option(self, capsys, tmp_path):
+        # the force is an exact derivative, so there is no step to choose
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compute", "--L", "1", "--n0", "1", "--method", "both",
+                  "--format", "csv", "--h-rel", "1e-3"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: casdisp ")
+        assert "error: unrecognized arguments: --h-rel 1e-3" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 1\nn0 = 1\nmethod = both\nformat = csv\nh_rel = 1e-3\n")
+        code, out, err = run_cli(capsys, "compute", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert "step fraction must lie in [1e-7, 1e-2]" in err
+        assert "unknown config keys: h_rel" in err
 
 
 class TestNonFiniteInput:
@@ -632,7 +627,7 @@ class TestTrustRegionRule:
         if above:
             L = math.nextafter(L, math.inf)
         scenario = Scenario(L, Cauchy(1.0, n1))
-        expected = not validity(scenario.model).is_valid_at(L)
+        expected = L <= min_separation(scenario.model)
         assert expected is not above
         assert total_energy_analytic(scenario).beyond_validity is expected
         split = total_energy_lifshitz(scenario, mode=Mode.FIRST_ORDER_SPLIT)

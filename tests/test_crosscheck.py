@@ -10,6 +10,7 @@ from casdisp.crosscheck import (
     validity_sweep,
 )
 from casdisp.dispersion import Cauchy, Constant
+from casdisp.lifshitz import delta_e_lifshitz_full
 
 
 class TestCompareMethods:
@@ -52,6 +53,18 @@ class TestFirstOrderSlope:
         residual_half = abs(first_order_slope(1.0, 1.0, n1_probe=5e-7) - target)
         assert 1.6 <= residual / residual_half <= 2.4
 
+    @pytest.mark.parametrize("probe", [5e-7, 1e-6, 1e-5])
+    def test_residual_is_the_series_bias(self, probe):
+        # with F(g) = c1*g + c2*g^2 + c3*g^3 + ..., the slope at L = n0 = 1
+        # is F(g)/(2*pi^2*g), off the closed form by (c2*g + c3*g^2)/c1 and
+        # less than the quadrature's error beyond
+        c1, c2, c3 = -math.pi**6 / 1260.0, -math.pi**8 / 560.0, -math.pi**10 / 99.0
+        target = delta_e_analytic(1.0, 1.0, 1.0)
+        residual = first_order_slope(1.0, 1.0, n1_probe=probe) / target - 1.0
+        delta, _ = delta_e_lifshitz_full(1.0, Cauchy(1.0, probe))
+        bound = delta.error / (probe * abs(target))
+        assert abs(residual - (c2 * probe + c3 * probe**2) / c1) <= bound
+
     def test_default_probe(self):
         assert first_order_slope(2.0, 1.0) == pytest.approx(
             delta_e_analytic(2.0, 1.0, 1.0), rel=1e-4
@@ -83,6 +96,9 @@ class TestValiditySweep:
         assert point.ratio == pytest.approx(0.003525, abs=5e-7)
         assert point.bound == pytest.approx(1.0 / 112.0)
         assert point.within_bound
+
+    def test_ratio_bound(self):
+        assert validity_sweep(Cauchy(2.0, 0.123), [1.0])[0].bound == 1.0 / 112.0
 
     def test_inside_region_satisfies_bound(self):
         points = validity_sweep(Cauchy(1.3, 1e-3), [0.5, 1.0, 2.0])

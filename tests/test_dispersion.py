@@ -12,7 +12,7 @@ from casdisp.dispersion import (
     UnsupportedModelError,
     kappa_lower,
     load_index_table,
-    validity,
+    min_separation,
 )
 
 finite_xi = st.floats(min_value=0.0, max_value=1e3)
@@ -209,21 +209,23 @@ class TestPchipMatchesScipy:
 
 class TestValidity:
     def test_quadratic_model(self):
-        report = validity(Cauchy(1.0, 0.01))
-        assert report.min_separation == pytest.approx(2.0 * math.pi * 0.1)
-        assert report.is_valid_at(1.0)
-        assert not report.is_valid_at(0.5)
+        model = Cauchy(1.0, 0.01)
+        assert min_separation(model) == pytest.approx(2.0 * math.pi * 0.1)
+        assert 1.0 > min_separation(model)
+        assert not 0.5 > min_separation(model)
 
     def test_dispersion_free(self):
-        assert validity(Cauchy(1.0, 0.0)).min_separation == 0.0
-        assert validity(Constant(3.0)).min_separation == 0.0
+        assert min_separation(Cauchy(1.0, 0.0)) == 0.0
+        assert min_separation(Constant(3.0)) == 0.0
 
-    def test_ratio_bound(self):
-        assert validity(Cauchy(2.0, 0.123)).ratio_bound == pytest.approx(1.0 / 112.0)
+    def test_column_of_media(self):
+        n1 = np.array([0.0, 0.01, 0.25])
+        expected = [2.0 * math.pi * math.sqrt(v) for v in n1.tolist()]
+        assert min_separation(Cauchy(1.0, n1)).tolist() == expected
 
     def test_tabulated_unsupported(self):
         with pytest.raises(UnsupportedModelError):
-            validity(Tabulated((0.0, 1.0), (1.5, 1.4)))
+            min_separation(Tabulated((0.0, 1.0), (1.5, 1.4)))
 
 
 class TestLoadIndexTable:

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from casdisp.dispersion import (
     Tabulated,
     UnsupportedModelError,
     kappa_lower,
-    validity,
+    min_separation,
 )
 from casdisp.lifshitz import (
     DEFAULT_QUADRATURE,
@@ -714,7 +715,7 @@ class TestFullKappa1Interpolant:
         scenario = Scenario(L, Cauchy(n0, n1))
         spec = QuadratureSpec(tail_cut=tail_cut)
         breakdown = total_energy_lifshitz(scenario, spec, Mode.FULL_KAPPA1)
-        assert breakdown.beyond_validity is not validity(scenario.model).is_valid_at(L)
+        assert breakdown.beyond_validity is (L <= min_separation(scenario.model))
 
     def test_window_no_longer_moves_with_the_tail_cut(self):
         # L = 1, n0 = 1, n1 = 1e-2 lies inside the trust region; the window
@@ -830,6 +831,58 @@ def _central_difference(
     value = -(up.total - down.total) / (2.0 * h * L)
     error = (up.error_estimate + down.error_estimate) / (2.0 * h * L) + 7.0 * h * h * abs(value)
     return value, error
+
+
+def _series_coefficient(k: int) -> mpmath.mpf:
+    # c_k of F(g) = sum_{k>=1} c_k*g^k from the Lifshitz integral, expanding
+    # I(u - g*u^3, 1) in g and integrating u^(3k) times the k-th derivative
+    f = mpmath.factorial
+    return -f(3 * k) * f(2 * k + 2) * mpmath.zeta(2 * k + 4) / (
+        f(k) * f(2 * k) * (2 * k + 1) * 2 ** (2 * k + 3)
+    )
+
+
+def _up_to_smallest(terms: list) -> mpmath.mpf:
+    # an asymptotic series summed up to, and not including, its smallest term
+    smallest = min(range(len(terms)), key=lambda k: abs(terms[k]))
+    return mpmath.fsum(terms[:smallest])
+
+
+class TestSmallGSeries:
+    """The two derivations of the dispersive correction give one series in g.
+
+    c_1 = -pi^6/1260 is the closed form's first order and c_2 = -pi^8/560 the
+    next; the full-kappa_1 route's F(g) and F'(g) follow the series.
+    """
+
+    def test_lifshitz_and_zero_point_forms_agree(self):
+        # the mode sum over zero-point energies gives c_k through zeta(-2k-3)
+        f = mpmath.factorial
+        with mpmath.workdps(60):
+            for k in range(9):
+                sign, power = (-1) ** (k + 1), mpmath.pi ** (2 * k + 4)
+                zero_point = sign * power * f(3 * k) * mpmath.zeta(-2 * k - 3) / (
+                    f(k) * f(2 * k + 1) * (2 * k + 3)
+                )
+                assert abs(_series_coefficient(k) - zero_point) <= mpmath.mpf("1e-35")
+            assert _series_coefficient(0) == pytest.approx(-math.pi**4 / 360.0, rel=1e-15)
+            assert _series_coefficient(1) == pytest.approx(-math.pi**6 / 1260.0, rel=1e-15)
+            assert _series_coefficient(2) == pytest.approx(-math.pi**8 / 560.0, rel=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_g=st.floats(min_value=math.log(1e-8), max_value=math.log(3e-4)))
+    def test_full_row_within_estimate_of_series(self, log_g):
+        g = math.exp(log_g)
+        raw, raw_error, slope, slope_error, _, peak = lifshitz._full_row(g, DEFAULT_QUADRATURE)
+        assert not peak
+        with mpmath.workdps(30):
+            # where the series' smallest term lies past these 59, the last
+            # of them is below 1e-50 of F, so what they leave out is nothing
+            terms = [(k, _series_coefficient(k) * mpmath.mpf(g) ** (k - 1)) for k in range(1, 60)]
+            series = _up_to_smallest([term * g for _, term in terms])
+            derivative = _up_to_smallest([k * term for k, term in terms])
+            assert abs(raw - series) <= raw_error
+            assert abs(slope - derivative) <= slope_error
 
 
 class TestFailurePaths:
