@@ -154,10 +154,6 @@ def validity_sweep(
     return points
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 def run_validation_checks(
     tol: float = 1e-7, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> list[CheckResult]:
@@ -185,7 +181,7 @@ def run_validation_checks(
             report.rel_discrepancy_total,
         )
         checks.append(
-            _check(
+            CheckResult(
                 f"method agreement, {name}",
                 report.passed,
                 f"max rel discrepancy {worst:.3e} vs tol {tol:.1e}",
@@ -196,7 +192,7 @@ def run_validation_checks(
     slope = first_order_slope(1.0, 1.0, quad, 1e-6)
     residual = abs(slope / target - 1.0)
     checks.append(
-        _check(
+        CheckResult(
             "first-order slope at probe 1e-6",
             residual <= SLOPE_REL_LIMIT,
             f"rel residual {residual:.3e} vs limit {SLOPE_REL_LIMIT:.1e}",
@@ -205,7 +201,7 @@ def run_validation_checks(
     slope_half = first_order_slope(1.0, 1.0, quad, 5e-7)
     res_ratio = abs(slope - target) / abs(slope_half - target)
     checks.append(
-        _check(
+        CheckResult(
             "first-order slope residual halves with the probe",
             1.6 <= res_ratio <= 2.4,
             f"residual ratio {res_ratio:.3f}, expected within [1.6, 2.4]",
@@ -218,7 +214,7 @@ def run_validation_checks(
         )
         err = abs(extrapolated - target)
         checks.append(
-            _check(
+            CheckResult(
                 f"regulated sum extrapolation, p={p}",
                 err <= ZETA_DEMO_ABS_LIMIT,
                 f"|error| {err:.3e} vs limit {ZETA_DEMO_ABS_LIMIT:.1e}",

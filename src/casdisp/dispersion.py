@@ -76,8 +76,9 @@ class Tabulated:
     Queries use PCHIP, the monotone (shape-preserving) piecewise cubic
     Hermite interpolant of Fritsch & Carlson with the end slopes of
     scipy's ``PchipInterpolator``, and flat extrapolation beyond the table
-    ends, so interpolated values never overshoot into n <= 0.  A
-    two-sample table is linear.
+    ends, so interpolated values never overshoot into n <= 0: at and past
+    the last knot the index is the last sample exactly.  A two-sample table
+    is linear.
     """
 
     xi: tuple[float, ...]
@@ -106,21 +107,22 @@ class Tabulated:
         # (knots, cubics): on the interval from knot k, the index is
         # d + c*s + b*s^2 + a*s^3 in s = xi - xi_k, with (a, b, c, d)
         # column k of ``cubics``; summed in that order, as scipy's PPoly
-        # does, the values are scipy's to the last bit
+        # does, the values are scipy's to the last bit; from the last knot
+        # on, the flat last column (0, 0, 0, n[-1])
         x, y = np.asarray(self.xi), np.asarray(self.n)
         h = np.diff(x)
         m = np.diff(y) / h
         slope = _pchip_slopes(h, m)
         t = (slope[:-1] + slope[1:] - 2.0 * m) / h
         cubics = np.stack((t / h, (m - slope[:-1]) / h - t, slope[:-1], y[:-1]))
-        return x, cubics
+        return x, np.column_stack((cubics, (0.0, 0.0, 0.0, y[-1])))
 
     def index_at(self, xi):
         """n(i*xi) at a scalar (giving a float) or an array of frequencies."""
         knots, cubics = self._interpolator
         clipped = np.clip(xi, knots[0], knots[-1])
-        # knots[k] <= xi < knots[k + 1]; the last knot closes the last interval
-        k = np.searchsorted(knots[1:-1], clipped, side="right")
+        # knots[k] <= xi < knots[k + 1], or k the last knot and s = 0
+        k = np.searchsorted(knots[1:], clipped, side="right")
         s = clipped - knots.take(k)
         s2 = s * s
         # accumulated into one array, so fewer node-sized temporaries are
@@ -169,19 +171,18 @@ DispersionModel = Union[Constant, Cauchy, Tabulated]
 def kappa_lower(model: DispersionModel, xi):
     """Lower limit n(i*xi)*xi of the momentum integration at imaginary frequency xi.
 
-    For the quadratic model this is n0*xi - n1*xi^3, clamped below at zero
-    past its turnover at xi = sqrt(n0/n1), where the model has left its
-    domain.  ``xi`` may be a scalar, which gives a float, or an array.
+    For a constant or quadratic index this is n0*xi - n1*xi^3, clamped below
+    at zero past its turnover at xi = sqrt(n0/n1), where the model has left
+    its domain.  ``xi`` may be a scalar, which gives a float, or an array.
     """
     if not np.all(np.asarray(xi) >= 0.0):
         raise ValueError(f"imaginary frequency must be non-negative, got {xi}")
-    if isinstance(model, Constant):
-        return model.n0 * xi
-    if isinstance(model, Cauchy):
-        # left-assoc product keeps n1 = 0 exact even for huge xi
-        value = np.maximum(model.n0 * xi - model.n1 * xi * xi * xi, 0.0)
-        return float(value) if np.ndim(xi) == 0 else value
-    return model.index_at(xi) * xi
+    if isinstance(model, Tabulated):
+        return model.index_at(xi) * xi
+    n0, n1 = cauchy_coefficients(model)
+    # left-assoc product keeps n1 = 0 exact for huge xi: n0*xi to the bit
+    value = np.maximum(n0 * xi - n1 * xi * xi * xi, 0.0)
+    return float(value) if np.ndim(xi) == 0 else value
 
 
 def cauchy_coefficients(model: DispersionModel) -> tuple[float, float]:

@@ -239,11 +239,11 @@ def _integrate_panels(
 ):
     # Gauss-Kronrod 7/15 on each panel between consecutive breakpoints, all
     # panels' nodes in one array per pass, so the integrand runs once per
-    # pass.  The integrand gives one value per node, or a (k, nodes) stack
-    # of k integrands sharing the nodes, for which the result is a tuple of
-    # k Estimates.  A panel's error is |K15 - G7|; a panel
-    # whose error exceeds its width's share of max(abs_tol, rel_tol*|value|)
-    # in any component is bisected, and only its halves make the next pass.
+    # pass.  The integrand gives a (k, nodes) stack of k integrands sharing
+    # the nodes, and the result is a tuple of k Estimates.  A panel's error
+    # is |K15 - G7|; a panel whose error exceeds its width's share of
+    # max(abs_tol, rel_tol*|value|) in any component is bisected, and only
+    # its halves make the next pass.
     # The estimate is the sum of the panels' errors plus the rounding floor.
     # After floor(log2(max_subdivisions)) bisections a panel still failing
     # raises QuadratureError, as does a non-finite integrand value.
@@ -255,9 +255,7 @@ def _integrate_panels(
     while True:
         half = 0.5 * (hi - lo)
         nodes = (lo + half)[:, None] + half[:, None] * _KRONROD_NODES
-        values = integrand(nodes.ravel())
-        stacked = values.ndim == 2
-        values = values.reshape((-1, *nodes.shape))
+        values = integrand(nodes.ravel()).reshape((-1, *nodes.shape))
         if not np.all(np.isfinite(values)):
             raise QuadratureError("integrand is not finite at a quadrature node")
         # (component, panel) sums, each panel's nodes summed in one order
@@ -273,11 +271,10 @@ def _integrate_panels(
         error = error + spread[:, kept].sum(axis=-1)
         mass = mass + panel_mass[:, kept].sum(axis=-1)
         if not failing.any():
-            estimates = tuple(
+            return tuple(
                 Estimate(float(v), float(e))
                 for v, e in zip(value, error + _ROUNDING * mass)
             )
-            return estimates if stacked else estimates[0]
         if 2 ** (bisections + 1) > spec.max_subdivisions:
             raise QuadratureError(
                 f"panel rule did not converge after {bisections} bisections "
@@ -359,7 +356,7 @@ def _slope_integrand(x: np.ndarray, inner: np.ndarray) -> np.ndarray:
 def _e0_number(quad: QuadratureSpec) -> Estimate:
     # c0 = int_0^inf I(u, 1) du
     breaks = _graded_breaks(quad.u_max, 1.0)
-    raw = _integrate_panels(lambda u: inner_integral(u, 1.0), breaks, quad)
+    (raw,) = _integrate_panels(lambda u: inner_integral(u, 1.0)[None], breaks, quad)
     return Estimate(raw.value, raw.error + _e0_tail_bound(quad.u_max))
 
 
@@ -367,9 +364,9 @@ def _e0_number(quad: QuadratureSpec) -> Estimate:
 def _delta_number(quad: QuadratureSpec) -> Estimate:
     # c1 = int_0^inf u^4 log(1 - e^(-2u)) du; every node lies inside (0, u_max]
     def integrand(u: np.ndarray) -> np.ndarray:
-        return u**4 * log_one_minus_exp(2.0 * u)
+        return (u**4 * log_one_minus_exp(2.0 * u))[None]
 
-    raw = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
+    (raw,) = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
     return Estimate(raw.value, raw.error + _delta_tail_bound(quad.u_max))
 
 
@@ -399,10 +396,8 @@ def delta_e_lifshitz_first_order(
     """
     _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
-    if not isinstance(n1, np.ndarray) and n1 == 0.0:
-        return Estimate(0.0, 0.0)
     c1 = _delta_number(quad)
-    # (-c1)*((0.0 - n1)/D) has the bits of c1*(n1/D), but is 0.0, not -0.0, at n1 = 0
+    # (-c1)*((0.0 - n1)/D) has the bits of c1*(n1/D), but is (0.0, 0.0), not -0.0, at n1 = 0
     return _scaled(Estimate(-c1.value, c1.error), (0.0 - n1) / (_TWO_PI_SQ * n0**4 * _power(L, 5)))
 
 

@@ -38,9 +38,7 @@ def integrate(integrand, breaks, spec):
         weight[0] *= 0.5  # the t = 0 node appears from both ends
         # (end, panel, step): nodes from the left and from the right end
         nodes = np.stack((lo + half * offset, hi - half * offset))
-        values = integrand(nodes.ravel())
-        stacked = values.ndim == 2
-        values = values.reshape((-1, *nodes.shape))
+        values = integrand(nodes.ravel()).reshape((-1, *nodes.shape))
         if not np.all(np.isfinite(values)):
             raise QuadratureError("integrand is not finite at a quadrature node")
         terms = (half * weight * values).reshape((len(values), -1))
@@ -49,8 +47,7 @@ def integrate(integrand, breaks, spec):
             change = np.abs(value - previous)
             if np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))):
                 error = change + _ROUNDING * np.abs(terms).sum(axis=-1)
-                estimates = tuple(Estimate(float(v), float(e)) for v, e in zip(value, error))
-                return estimates if stacked else estimates[0]
+                return tuple(Estimate(float(v), float(e)) for v, e in zip(value, error))
         previous = value
         level += 1
     raise QuadratureError(f"tanh-sinh did not converge by step 2^-{level - 1}")

@@ -144,8 +144,13 @@ class TestDispersiveCorrection:
         )
 
     def test_dispersion_free_is_exactly_zero(self):
-        assert delta_e_lifshitz_first_order(1.0, Cauchy(2.0, 0.0)) == (0.0, 0.0)
-        assert delta_e_lifshitz_first_order(1.0, Constant(2.0)) == (0.0, 0.0)
+        # compared by repr, so that -0.0 fails
+        for model in (Cauchy(2.0, 0.0), Constant(2.0)):
+            estimate = delta_e_lifshitz_first_order(1.0, model)
+            assert repr(estimate) == repr(Estimate(0.0, 0.0))
+        column = delta_e_lifshitz_first_order(1.0, Cauchy(2.0, np.array([0.0, 1e-3])))
+        assert repr(column.value[0]) == repr(column.error[0]) == repr(np.float64(0.0))
+        assert column.value[1] < 0.0 < column.error[1]
 
     def test_reference_number(self):
         estimate = delta_e_lifshitz_first_order(1.0, Cauchy(1.0, 1.0))
@@ -204,6 +209,20 @@ class TestTotalEnergy:
         breakdown = total_energy_lifshitz(scenario, mode=Mode.FULL_KAPPA1)
         # constant table must reproduce the constant-index result
         assert breakdown.total == pytest.approx(e0_analytic(1.0, 1.5), rel=1e-8)
+
+    def test_steep_table_reads_its_last_sample_past_the_end(self):
+        # the last cubic evaluated at its right end rounds to about -4e-3
+        # here; past the last knot the index is the last sample, so at this
+        # L every node reads n[-1] and the row is the constant-index one
+        table = Tabulated((3237.8547855833613, 3421.4525542858005),
+                          (30175561441643.08, 7.023638461381411e-16))
+        last = table.n[-1]
+        assert table.index_at(table.xi[-1]) == table.index_at(1e300) == last
+        assert list(table.index_at(np.array([table.xi[-1], 1e4]))) == [last, last]
+        L = 6.083306874593662e-29
+        breakdown = total_energy_lifshitz(Scenario(L, table), mode=Mode.FULL_KAPPA1)
+        assert math.isfinite(breakdown.total) and math.isfinite(breakdown.force)
+        assert breakdown.total == pytest.approx(e0_analytic(L, last), rel=1e-8)
 
     def test_monotone_in_separation(self):
         totals = [
@@ -449,7 +468,9 @@ class TestNodeRule:
 
 class TestPanelRule:
     def test_smooth_integral_over_panels(self):
-        estimate = _integrate_panels(np.exp, (0.0, 0.3, 1.0, 1.5, 2.0), QuadratureSpec())
+        (estimate,) = _integrate_panels(
+            lambda u: np.exp(u)[None], (0.0, 0.3, 1.0, 1.5, 2.0), QuadratureSpec()
+        )
         exact = math.expm1(2.0)
         assert abs(estimate.value - exact) <= 1e-15 * exact
         assert abs(estimate.value - exact) <= estimate.error
@@ -471,8 +492,8 @@ class TestPanelRule:
             return result, len(passes)
 
         (easy, hard), stacked = passes_of(lambda u: np.stack((np.exp(u), peaked(u))))
-        alone, peaked_passes = passes_of(peaked)
-        assert passes_of(np.exp)[1] == 1
+        (alone,), peaked_passes = passes_of(lambda u: peaked(u)[None])
+        assert passes_of(lambda u: np.exp(u)[None])[1] == 1
         assert stacked == peaked_passes > 1
         assert hard == alone
         assert abs(easy.value - math.expm1(2.0)) <= easy.error

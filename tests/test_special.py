@@ -108,6 +108,13 @@ class TestPolylog:
                     polylog(s, math.exp(-w)), abs=1e-13
                 )
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_plain_form_is_the_exponential_form(self, s):
+        # one branch rule: Li_s(x) is Li_s(e^-w) at w = -log(x), to the bit
+        for x in np.concatenate((np.linspace(1e-6, 1.0, 2001), np.geomspace(1e-300, 1.0, 400))):
+            x = float(x)
+            assert polylog(s, x) == polylog_exp_neg(s, -math.log(x)), x
+
     def test_exponential_form_limits(self):
         assert polylog_exp_neg(2, 0.0) == ZETA_VALUES[2]
         assert polylog_exp_neg(3, 800.0) == 0.0
