@@ -93,7 +93,7 @@ class SweepSpec:
 
 def _read_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -371,7 +371,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -209,10 +209,14 @@ def min_separation(model: DispersionModel):
 
 
 def load_index_table(path) -> Tabulated:
-    """Read a two-column CSV of (xi, n) samples; a single header line is allowed."""
+    """Read a two-column CSV of (xi, n) samples; a single header line is allowed.
+
+    A leading UTF-8 byte-order mark is dropped, so it never turns the first
+    sample into a header.
+    """
     xi: list[float] = []
     n: list[float] = []
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=1):
             try:
                 x, v = float(row[0]), float(row[1])

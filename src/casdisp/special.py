@@ -198,14 +198,13 @@ def polylog_exp_neg(s: int | tuple[int, ...], w):
 def polylog(s: int, x: float) -> float:
     """Polylogarithm Li_s(x) = sum_{n>=1} x^n / n^s for s in {2, 3}, x in [0, 1].
 
-    polylog_exp_neg(s, -log(x)) to the bit, and 0.0 at x = 0.  Absolute error
-    below 1e-13.  Raises ValueError outside the supported order/argument range.
+    polylog_exp_neg(s, -log(x)) to the bit, which checks the order, and 0.0 at
+    x = 0 (w = inf).  Absolute error below 1e-13.  Raises ValueError outside
+    the supported order/argument range.
     """
-    if s not in (2, 3):
-        raise ValueError(f"polylogarithm order {s} not supported (need 2 or 3)")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
-    return polylog_exp_neg(s, -math.log(x)) if x > 0.0 else 0.0
+    return polylog_exp_neg(s, -math.log(x) if x > 0.0 else math.inf)
 
 
 def log_one_minus_exp(x):

@@ -216,6 +216,15 @@ class TestConfig:
         assert base_out != override_out
         assert override_out.splitlines()[1].startswith("2.0000000000000000e+00")
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path):
+        text = "L = 1\nn0 = 1.5\nn1 = 1e-3\nmethod = both\nformat = csv\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        runs = [run_cli(capsys, "compute", "--config", str(cfg)) for cfg in (plain, marked)]
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L = 1\nn0 = 1\nmethod = analytic\nformat = csv\nbogus = 1\n")

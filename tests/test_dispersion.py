@@ -241,6 +241,19 @@ class TestLoadIndexTable:
         path.write_text("0.0,1.5\n1.0,1.4\n")
         assert load_index_table(path).n == (1.5, 1.4)
 
+    @pytest.mark.parametrize(
+        "rows", ["0.0,1.8\n1.0,1.5\n2.0,1.2\n", "0.0,1.8\n40.0,1.1\n"], ids=["three", "two"]
+    )
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path, rows):
+        # a UTF-8 byte-order mark is not part of the first cell, so a
+        # headerless table keeps its first sample
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode())
+        table = load_index_table(marked)
+        assert len(table.xi) == rows.count("\n")
+        assert table == load_index_table(plain)
+
     def test_bad_row_reported_with_line_number(self, tmp_path):
         path = tmp_path / "index.csv"
         path.write_text("0.0,1.5\noops,1.4\n")

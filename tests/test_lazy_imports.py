@@ -5,6 +5,7 @@ Each case runs in a fresh interpreter, because the test process itself has
 imported both.
 """
 
+import importlib
 import json
 import math
 import os
@@ -163,3 +164,18 @@ def test_quadpack_oracle_imports_scipy_on_first_call():
     before, after, gap = out.split()
     assert (before, after) == ("False", "True")
     assert float(gap) < 1e-12
+
+
+def test_package_exports_each_modules_names():
+    # the package's names are its library modules' __all__ lists, in order,
+    # each bound to the module's own object
+    modules = [
+        importlib.import_module(f"casdisp.{name}")
+        for name in ("closed_form", "crosscheck", "dispersion", "lifshitz", "special", "units")
+    ]
+    names = [name for module in modules for name in module.__all__]
+    assert casdisp.__all__ == names + ["__version__"]
+    assert len(set(casdisp.__all__)) == len(casdisp.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(casdisp, name) is getattr(module, name), name

@@ -118,6 +118,8 @@ class TestPolylog:
     def test_exponential_form_limits(self):
         assert polylog_exp_neg(2, 0.0) == ZETA_VALUES[2]
         assert polylog_exp_neg(3, 800.0) == 0.0
+        # x = 0 is w = inf, and gives positive zero
+        assert repr(polylog(2, 0.0)) == "0.0"
         with pytest.raises(ValueError):
             polylog_exp_neg(2, -1.0)
 
