@@ -125,25 +125,31 @@ def _config_argv(path: str, args: argparse.Namespace) -> list[str]:
     return argv
 
 
-def _add_shared_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=float, help="plate separation (natural length units)")
-    parser.add_argument("--n0", type=float, help="constant part of the refractive index")
-    parser.add_argument("--n1", type=float, help="quadratic dispersion coefficient (length^2)")
-    parser.add_argument("--ns-table", help="CSV of (xi, n) index samples on the imaginary-frequency axis")
-    parser.add_argument("--cs", type=float, help="surface-term coefficient c_s (energy = c_s/L^4)")
-    parser.add_argument("--method", choices=("analytic", "lifshitz", "both"), help="evaluation route")
-    parser.add_argument("--mode", choices=("split", "full"), help="quadrature mode (default: split; full for tabulated data)")
-    parser.add_argument("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol, help="relative quadrature tolerance (default %(default)g)")
-    parser.add_argument("--si", action="store_true", help="emit SI values (J/m^2, Pa)")
-    parser.add_argument("--length-unit", type=float, help="meters per natural length unit (with --si)")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format")
-    parser.add_argument("--out", help="write output to this file instead of stdout")
-    parser.add_argument("--config", help="flat key = value file mirroring the flags; flags win")
+def _add_shared_options(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    add = parser.add_argument
+    return [
+        add("--L", type=float, help="plate separation (natural length units)"),
+        add("--n0", type=float, help="constant part of the refractive index"),
+        add("--n1", type=float, help="quadratic dispersion coefficient (length^2)"),
+        add("--ns-table", help="CSV of (xi, n) index samples on the imaginary-frequency axis"),
+        add("--cs", type=float, help="surface-term coefficient c_s (energy = c_s/L^4)"),
+        add("--method", choices=("analytic", "lifshitz", "both"), help="evaluation route"),
+        add("--mode", choices=("split", "full"), help="quadrature mode (default: split; full for tabulated data)"),
+        add("--rel-tol", type=float, default=DEFAULT_QUADRATURE.rel_tol, help="relative quadrature tolerance (default %(default)g)"),
+        add("--si", action="store_true", help="emit SI values (J/m^2, Pa)"),
+        add("--length-unit", type=float, help="meters per natural length unit (with --si)"),
+        add("--format", choices=("json", "csv"), help="output format"),
+        add("--out", help="write output to this file instead of stdout"),
+        add("--config", help="flat key = value file mirroring the flags; flags win"),
+    ]
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parsing leaves a parser as it found it
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and per command word its defaults and its options' actions.
+
+    Built once per process: parsing leaves a parser as it found it.
+    """
     parser = argparse.ArgumentParser(
         prog="casdisp",
         description=(
@@ -155,20 +161,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="energy breakdown and force at one point")
-    _add_shared_options(compute)
+    compute_actions = _add_shared_options(compute)
     compute.set_defaults(handler=_cmd_compute, parser=compute)
 
     sweep = sub.add_parser("sweep", help="grid over the separation or the dispersion coefficient")
-    _add_shared_options(sweep)
-    sweep.add_argument("--variable", choices=("L", "n1"), help="swept quantity")
-    sweep.add_argument("--min", type=float, help="grid start")
-    sweep.add_argument("--max", type=float, help="grid end")
-    sweep.add_argument("--points", type=int, help="number of grid points (>= 2)")
-    sweep.add_argument("--scale", choices=("linear", "log"), default="linear", help="grid spacing (default %(default)s)")
+    sweep_actions = _add_shared_options(sweep) + [
+        sweep.add_argument("--variable", choices=("L", "n1"), help="swept quantity"),
+        sweep.add_argument("--min", type=float, help="grid start"),
+        sweep.add_argument("--max", type=float, help="grid end"),
+        sweep.add_argument("--points", type=int, help="number of grid points (>= 2)"),
+        sweep.add_argument("--scale", choices=("linear", "log"), default="linear", help="grid spacing (default %(default)s)"),
+    ]
     sweep.set_defaults(handler=_cmd_sweep, parser=sweep)
 
     validate = sub.add_parser("validate", help="run the cross-validation battery")
-    validate.add_argument(
+    validate_actions = [validate.add_argument(
         "--tol",
         type=float,
         default=1e-7,
@@ -177,9 +184,54 @@ def _build_parser() -> argparse.ArgumentParser:
             "(default 1e-7); the slope and regulated-sum checks keep their "
             "intrinsic thresholds"
         ),
-    )
+    )]
     validate.set_defaults(handler=_cmd_validate, parser=validate)
-    return parser
+    commands = {
+        word: (
+            vars(command.parse_args([])),
+            {option: action for action in actions for option in action.option_strings},
+        )
+        for word, command, actions in (
+            ("compute", compute, compute_actions),
+            ("sweep", sweep, sweep_actions),
+            ("validate", validate, validate_actions),
+        )
+    }
+    return parser, commands
+
+
+def _parse_plain(commands: dict, argv: list[str]) -> Optional[argparse.Namespace]:
+    """argparse's namespace for a plain command line, in one pass; else None.
+
+    Plain is a command word, then exact long options of that command, each
+    followed by one value that does not start with "-", or a switch.  Help,
+    abbreviations, ``--flag=value``, dash-led values and every error return
+    None and are left to argparse, which alone prints usage and messages.
+    """
+    if not argv or argv[0] not in commands:
+        return None
+    defaults, options = commands[argv[0]]
+    args = argparse.Namespace(command=argv[0])
+    vars(args).update(defaults)  # Namespace(**defaults) sets them one by one, 4x slower
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        if action.nargs == 0:  # a switch
+            setattr(args, action.dest, action.const)
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        setattr(args, action.dest, value)
+    return args
 
 
 def _require(args: argparse.Namespace, *keys: str) -> None:
@@ -352,9 +404,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
+    args = _parse_plain(commands, argv) or parser.parse_args(argv)
     try:
         if getattr(args, "config", None) is not None:
             # config entries go in as flags ahead of the command line's own,

@@ -208,11 +208,21 @@ def min_separation(model: DispersionModel):
     return 2.0 * math.pi * (np.sqrt(n1) if isinstance(n1, np.ndarray) else math.sqrt(n1))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_index_table(path) -> Tabulated:
     """Read a two-column CSV of (xi, n) samples; a single header line is allowed.
 
-    A leading UTF-8 byte-order mark is dropped, so it never turns the first
-    sample into a header.
+    The first line is a header only when neither of its two cells is a
+    number, so a typo in a headerless table's first sample is an error, not
+    a lost sample.  A leading UTF-8 byte-order mark is dropped, so it never
+    turns the first sample into a header.
     """
     xi: list[float] = []
     n: list[float] = []
@@ -221,13 +231,13 @@ def load_index_table(path) -> Tabulated:
             try:
                 x, v = float(row[0]), float(row[1])
             except (IndexError, ValueError):
-                # a blank line is skipped, a short one is an error, and an
-                # unparsable first line is a header
+                # a blank line is skipped, a short one is an error, and a
+                # first line with no number in its two cells is a header
                 if all(not cell.strip() for cell in row):
                     continue
                 if len(row) < 2:
                     raise ValueError(f"{path}: line {lineno}: expected two columns") from None
-                if lineno == 1:
+                if lineno == 1 and not any(map(_is_number, row[:2])):
                     continue
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {row[:2]!r}"

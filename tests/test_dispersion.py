@@ -260,6 +260,17 @@ class TestLoadIndexTable:
         with pytest.raises(ValueError, match="line 2"):
             load_index_table(path)
 
+    @pytest.mark.parametrize(
+        "first", ["0.0,1.8x", "0.0x,1.8", "xi,1.8"], ids=["bad-n", "bad-xi", "half-header"]
+    )
+    def test_first_row_with_a_number_is_no_header(self, tmp_path, first):
+        # a typo in a headerless table's first sample is an error, not a lost sample
+        path = tmp_path / "index.csv"
+        path.write_text(first + "\n1.0,1.5\n2.0,1.2\n")
+        with pytest.raises(ValueError) as caught:
+            load_index_table(path)
+        assert str(caught.value) == f"{path}: line 1: could not parse {first.split(',')!r}"
+
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "index.csv"
         path.write_text("xi,n\n\n0.0,1.5\n , \n1.0,1.4\n\n")
