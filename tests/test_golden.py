@@ -93,6 +93,12 @@ SHAPES = {
         "--scale", "log", "--ns-table", "{golden}/drude.csv", "--method", "lifshitz",
         "--format", "csv",
     ],
+    # 200 knots: rows of 3,180, 2,535 and 2,025 nodes, most on the series branch
+    "sweep-table200-csv": [
+        "sweep", "--variable", "L", "--min", "0.5", "--max", "1.4", "--points", "3",
+        "--scale", "log", "--ns-table", "{golden}/drude200.csv", "--method", "lifshitz",
+        "--format", "csv",
+    ],
     "compute-table-json-si": [
         "compute", "--L", "0.8", "--ns-table", "{golden}/drude.csv", "--cs", "1e-3",
         "--method", "lifshitz", "--format", "json", "--si", "--length-unit", "1e-8",

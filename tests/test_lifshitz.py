@@ -872,8 +872,9 @@ def _up_to_smallest(terms: list) -> mpmath.mpf:
 class TestSmallGSeries:
     """The two derivations of the dispersive correction give one series in g.
 
-    c_1 = -pi^6/1260 is the closed form's first order and c_2 = -pi^8/560 the
-    next; the full-kappa_1 route's F(g) and F'(g) follow the series.
+    c_1 = -pi^6/1260 is the closed form's first order, c_2 = -pi^8/560 and
+    c_3 = -pi^10/99 the next; the full-kappa_1 route's F(g) and F'(g) follow
+    the series.
     """
 
     def test_lifshitz_and_zero_point_forms_agree(self):
@@ -889,6 +890,7 @@ class TestSmallGSeries:
             assert _series_coefficient(0) == pytest.approx(-math.pi**4 / 360.0, rel=1e-15)
             assert _series_coefficient(1) == pytest.approx(-math.pi**6 / 1260.0, rel=1e-15)
             assert _series_coefficient(2) == pytest.approx(-math.pi**8 / 560.0, rel=1e-15)
+            assert _series_coefficient(3) == pytest.approx(-math.pi**10 / 99.0, rel=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(log_g=st.floats(min_value=math.log(1e-8), max_value=math.log(3e-4)))

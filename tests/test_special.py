@@ -339,8 +339,18 @@ class TestPairedOrders:
             np.random.default_rng(1).uniform(0.0, 3.0, 800),
             10.0 ** np.random.default_rng(2).uniform(-12.0, 2.5, 1000),
             np.random.default_rng(3).uniform(0.0, 40.0, (4, 250)),
+            np.array([]),
+            np.zeros(7),
+            np.random.default_rng(4).uniform(1e-6, 1.0, 300),
+            np.random.default_rng(5).uniform(1.0, 40.0, 300),
+            np.random.default_rng(6).uniform(0.0, 3.0, 900)[::3],
+            np.asfortranarray(np.random.default_rng(7).uniform(0.0, 5.0, (30, 20))),
+            np.random.default_rng(8).uniform(0.0, 3.0, (120, 1)),
         ],
-        ids=["edge-grid", "uniform-0-3", "log-uniform", "two-dimensional"],
+        ids=[
+            "edge-grid", "uniform-0-3", "log-uniform", "two-dimensional", "empty",
+            "all-zero", "all-near-unit", "all-series", "strided", "fortran-order", "column",
+        ],
     )
     def test_pair_matches_each_order_alone(self, w):
         pair = polylog_exp_neg((2, 3), w)
@@ -348,6 +358,13 @@ class TestPairedOrders:
         for row, s in zip(pair, (2, 3)):
             assert row.tobytes() == polylog_exp_neg(s, w).tobytes()
             assert row.tobytes() == _one_order(s, w).tobytes()
+
+    def test_series_pair_matches_each_order_alone(self):
+        x = np.exp(-np.random.default_rng(9).uniform(1.0, 8.0, (6, 50)))
+        pair = _polylog_series((2, 3), x)
+        assert pair.shape == (2, *x.shape)
+        for row, s in zip(pair, (2, 3)):
+            assert row.tobytes() == _polylog_series(s, x).tobytes()
 
     def test_scalar_and_order_checks(self):
         pair = polylog_exp_neg((2, 3), 0.5)
