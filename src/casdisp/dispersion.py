@@ -119,19 +119,27 @@ class Tabulated:
 
     def index_at(self, xi):
         """n(i*xi) at a scalar (giving a float) or an array of frequencies."""
+        value, _ = self._index_and_slope(xi)
+        return float(value) if np.ndim(xi) == 0 else value
+
+    def _index_and_slope(self, xi):
+        # n(i*xi) and dn/dxi = c + 2b*s + 3a*s^2 from one lookup; the slope
+        # is 0 before the first knot and from the last on, where the index
+        # is held flat
         knots, cubics = self._interpolator
         clipped = np.clip(xi, knots[0], knots[-1])
         # knots[k] <= xi < knots[k + 1], or k the last knot and s = 0
         k = np.searchsorted(knots[1:], clipped, side="right")
         s = clipped - knots.take(k)
         s2 = s * s
+        a, b, c = (row.take(k) for row in cubics[:3])
         # accumulated into one array, so fewer node-sized temporaries are
         # alive at once; (c*s) + d is d + c*s to the bit
-        value = cubics[2].take(k) * s
+        value = c * s
         value += cubics[3].take(k)
-        value += cubics[1].take(k) * s2
-        value += cubics[0].take(k) * (s2 * s)
-        return float(value) if np.ndim(xi) == 0 else value
+        value += b * s2
+        value += a * (s2 * s)
+        return value, np.where(xi < knots[0], 0.0, c + s * (2.0 * b + 3.0 * a * s))
 
 
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:

@@ -46,11 +46,12 @@ each.  QUADPACK itself only backs the independent oracle
 ``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
-is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table it comes
-from the energy's pass: at fixed xi,
-L^3 * dI(kappa_1, L)/dL = G(x) = -x^2*log(1 - e^(-2x)) - 2*I(x, 1), and the
-window, fixed in u, shrinks in xi as L grows, so
-dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
+is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table, at fixed
+xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x*f(x) - 2*I(x, 1), with
+f(x) = x*log(1 - e^(-2x)), and the window, fixed in u, shrinks in xi as L
+grows, so dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
+As dI(x, 1)/dx = -f(x), a table row integrates both by parts, with one
+pass over [u*f(x)*x'(u), x*f(x)] and Li_2, Li_3 only at x(u_max).
 """
 
 from __future__ import annotations
@@ -342,16 +343,6 @@ def _force_tail_bound(u_max: float) -> float:
     )
 
 
-def _slope_integrand(x: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    # G(x) = L^3 * dI(kappa_1, L)/dL at fixed xi, with x = kappa_1*L and
-    # I(kappa_1, L) = I(x, 1)/L^2: -x^2*log(1 - e^(-2x)) - 2*I(x, 1), given
-    # ``inner`` = I(x, 1).  x^2*log(1 - e^(-2x)) tends to 0 at x = 0.
-    log = np.zeros_like(x)
-    positive = x > 0.0
-    log[positive] = log_one_minus_exp(2.0 * x[positive])
-    return -(x * x) * log - 2.0 * inner
-
-
 @cache
 def _e0_number(quad: QuadratureSpec) -> Estimate:
     # c0 = int_0^inf I(u, 1) du
@@ -633,26 +624,29 @@ def _tabulated_full(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate
 
 
 def _table_pass(L: float, model: Tabulated, n: float, quad: QuadratureSpec) -> tuple:
-    # a row's two integrals and their errors, from one pass over [I(x, 1), G(x)]
+    # a row's two integrals and their errors, by parts.  With
+    # f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and x(u) = kappa_1*L is
+    # C^1 (PCHIP, flat past the table's ends), monotone or not, so on [0, U]
+    #   int I(x, 1) du = U*I(x(U), 1) + int u*f(x)*x'(u) du
+    #   int G(x) du - U*I(x(U), 1) = -int x*f(x) du - 2*int I(x, 1) du - U*I(x(U), 1)
+    # from one node pass over [u*f*x', x*f]; Li_2 and Li_3 run once, at U.
+    # Every node has u > 0, so x >= u > 0.
     u_max = quad.u_max
-    edge = None  # I(x(u_max), 1), from the first pass
+    edge = u_max * inner_integral(kappa_lower(model, u_max / (n * L)) * L, 1.0)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        nonlocal edge
-        size = u.size
-        if edge is None:  # the first pass also takes the window's end
-            u = np.append(u, u_max)
-        x = kappa_lower(model, u / (n * L)) * L
-        inner = inner_integral(x, 1.0)
-        if edge is None:
-            edge = float(inner[-1])
-        x, inner = x[:size], inner[:size]
-        return np.stack((inner, _slope_integrand(x, inner)))
+        xi = u / (n * L)
+        index, slope = model._index_and_slope(xi)
+        x = index * xi * L
+        f = x * log_one_minus_exp(2.0 * x)
+        # x'(u) = (n(xi) + xi*n'(xi))/n
+        return np.stack((u * f * (index + xi * slope) / n, x * f))
 
-    breaks = _graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi))
-    raw, slope = _integrate_panels(integrand, breaks, quad)
-    return (raw.value, raw.error + _e0_tail_bound(u_max),
-            slope.value - u_max * edge, slope.error + _force_tail_bound(u_max))
+    knots, _ = model._interpolator
+    parts, square = _integrate_panels(integrand, _graded_breaks(u_max, 1.0, n * L * knots), quad)
+    raw = edge + parts.value
+    return (raw, parts.error + _e0_tail_bound(u_max), -square.value - 2.0 * raw - edge,
+            square.error + 2.0 * parts.error + _force_tail_bound(u_max))
 
 
 def total_energy_lifshitz(

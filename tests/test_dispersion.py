@@ -198,6 +198,25 @@ class TestPchipMatchesScipy:
             values, self._expected(np.array(xi), np.array(n), queries), rtol=1e-13, atol=0.0
         )
 
+    @pytest.mark.parametrize(
+        "shape", ["increasing", "decreasing", "non-monotone", "flat segments"]
+    )
+    def test_slope_is_the_derivative_and_flat_past_the_ends(self, shape):
+        from scipy.interpolate import PchipInterpolator
+
+        for size in (2, 5, 17):
+            xi, n = _pchip_table(shape, size, size)
+            table = Tabulated(tuple(xi), tuple(n))
+            span = xi[-1] - xi[0]
+            inside = np.random.default_rng(size).uniform(xi[0], xi[-1], 400)
+            queries = np.concatenate((inside, [xi[0] - span / 3, xi[-1], xi[-1] + span]))
+            index, slope = table._index_and_slope(queries)
+            assert list(index) == list(table.index_at(queries))
+            expected = PchipInterpolator(xi, n).derivative()(inside)
+            scale = np.abs(expected).max() + np.abs(np.diff(n) / np.diff(xi)).max()
+            np.testing.assert_allclose(slope[:-3], expected, rtol=0.0, atol=1e-12 * scale)
+            assert list(slope[-3:]) == [0.0, 0.0, 0.0]
+
     def test_scalar_queries_give_floats(self):
         xi, n = _pchip_table("non-monotone", 12, 7)
         table = Tabulated(tuple(xi), tuple(n))

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from casdisp.dispersion import (
     Tabulated,
     UnsupportedModelError,
     kappa_lower,
+    load_index_table,
     min_separation,
 )
 from casdisp.lifshitz import (
@@ -44,7 +46,9 @@ from casdisp.lifshitz import (
     inner_integral_quadrature,
     total_energy_lifshitz,
 )
-from casdisp.special import zeta_value
+from casdisp.special import log_one_minus_exp, zeta_value
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # direct adaptive quadrature of k*log(1 - e^-2k) on [1, inf), 40 digits
 INNER_1_1 = -0.10453683585783608
@@ -348,28 +352,31 @@ class TestOnePassPerRow:
 
     @pytest.mark.parametrize("kind", ["full-kappa1", "tabulated"])
     def test_one_polylogarithm_pass_per_level(self, monkeypatch, capsys, tmp_path, kind):
-        # kappa_lower and inner_integral run once per node-rule pass, on
-        # arrays only: the force's boundary term rides on the first pass.
-        # A full-kappa_1 row reads F(g) from its spec's interpolant, built
-        # here beforehand, and runs none of them.
+        # A table row runs log_one_minus_exp once per node-rule pass, on
+        # arrays only, and kappa_lower and inner_integral once per row,
+        # whatever the number of passes: both only at the window's end, for
+        # the boundary term of its integrals by parts.  A full-kappa_1 row
+        # reads F(g) from its spec's interpolant, built here beforehand, and
+        # runs none of them.
         if kind == "full-kappa1":
-            argv = ["--L", "1", "--n0", "1.5", "--n1", "1e-3", "--mode", "full"]
+            argv = ["compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3", "--mode", "full"]
             total_energy_lifshitz(Scenario(1.0, Cauchy(1.5, 1e-3)), mode=Mode.FULL_KAPPA1)
         else:
             table = _drude_table(3.0, 1.0)
             path = tmp_path / "drude.csv"
             path.write_text("".join(f"{x!r},{n!r}\n" for x, n in zip(table.xi, table.n)))
-            # a tight tolerance makes the panel rule bisect for this row
-            argv = ["--L", "4", "--ns-table", str(path), "--rel-tol", "1e-13"]
-        calls = {"inner_integral": 0, "kappa_lower": 0, "scalar": 0}
+            # a tight tolerance makes the panel rule bisect for both rows
+            argv = ["sweep", "--variable", "L", "--min", "4", "--max", "10", "--points", "2",
+                    "--ns-table", str(path), "--rel-tol", "1e-13"]
+        # name -> the dimension of the counted argument, call by call
+        calls = {"inner_integral": [], "kappa_lower": [], "log_one_minus_exp": []}
         passes = []
 
         def counted(name, position):
             original = getattr(lifshitz, name)
 
             def wrapper(*args):
-                calls[name] += 1
-                calls["scalar"] += np.ndim(args[position]) == 0
+                calls[name].append(np.ndim(args[position]))
                 return original(*args)
 
             monkeypatch.setattr(lifshitz, name, wrapper)
@@ -379,11 +386,16 @@ class TestOnePassPerRow:
         _count_passes(monkeypatch, passes)
         counted("inner_integral", 0)
         counted("kappa_lower", 1)
-        code = main(["compute", *argv, "--method", "lifshitz", "--format", "csv"])
+        counted("log_one_minus_exp", 0)
+        code = main([*argv, "--method", "lifshitz", "--format", "csv"])
         assert code == 0, capsys.readouterr().err
-        assert len(passes) == (0 if kind == "full-kappa1" else 2)
-        assert calls["inner_integral"] == calls["kappa_lower"] == len(passes)
-        assert calls["scalar"] == 0
+        if kind == "full-kappa1":
+            assert passes == []
+            assert calls == {name: [] for name in calls}
+        else:
+            assert passes == [690, 90, 645, 90]
+            assert calls["inner_integral"] == calls["kappa_lower"] == [0, 0]
+            assert calls["log_one_minus_exp"] == [1, 1, 1, 1]
 
 
 def _quadpack_oracle(integrand, breaks):
@@ -567,6 +579,66 @@ class TestPanelRule:
             Scenario(L, _drude_table(3.0, 1.0, samples, start)), mode=Mode.FULL_KAPPA1
         )
         assert len(passes) == 1
+
+
+def _direct_table_pass(L: float, model: Tabulated, n: float, spec: QuadratureSpec) -> tuple:
+    # A table row's two windowed integrals in the direct form, I(x, 1) at
+    # every node: one pass over [I(x, 1), G(x)], with
+    # G(x) = -x^2*log(1 - e^(-2x)) - 2*I(x, 1), less the force's boundary
+    # term u_max*I(x(u_max), 1); the errors add the same tail bounds.
+    u_max = spec.u_max
+
+    def integrand(u):
+        x = kappa_lower(model, u / (n * L)) * L
+        inner = inner_integral(x, 1.0)
+        return np.stack((inner, -(x * x) * log_one_minus_exp(2.0 * x) - 2.0 * inner))
+
+    breaks = lifshitz._graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi))
+    raw, slope = lifshitz._integrate_panels(integrand, breaks, spec)
+    edge = u_max * inner_integral(kappa_lower(model, u_max / (n * L)) * L, 1.0)
+    return (Estimate(raw.value, raw.error + lifshitz._e0_tail_bound(u_max)),
+            Estimate(slope.value - edge, slope.error + lifshitz._force_tail_bound(u_max)))
+
+
+class TestTableByParts:
+    """A table row by parts, against the direct form of its integrals."""
+
+    TABLES = {
+        "drude": load_index_table(GOLDEN / "drude.csv"),
+        "drude200": load_index_table(GOLDEN / "drude200.csv"),
+        # x'(u) = 1
+        "constant": Tabulated((0.0, 1.0, 2.0), (1.5, 1.5, 1.5)),
+        # the coarse tables of CI's numpy-only job
+        "two": Tabulated((0.0, 40.0), (1.8, 1.1)),
+        "five": _drude_table(3.0, 1.0, 5, 0.3),
+        # x(u) falls on the drop, from 3u to u
+        "step": Tabulated((0.0, 1.0, 1.1, 40.0), (3.0, 3.0, 1.0, 1.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    @pytest.mark.parametrize("L", [0.5, 0.84, 1.4, 4.0, 10.0])
+    def test_rows_agree_with_the_direct_form(self, monkeypatch, name, L):
+        table = self.TABLES[name]
+        n = min(table.n)
+        spec = DEFAULT_QUADRATURE
+
+        def row(route):
+            passes = []
+            with monkeypatch.context() as patch:
+                _count_passes(patch, passes)
+                return route(L, table, n, spec), passes
+
+        (raw, raw_error, slope, slope_error), parts = row(lifshitz._table_pass)
+        (direct_raw, direct_slope), direct = row(_direct_table_pass)
+        assert abs(raw - direct_raw.value) <= raw_error + direct_raw.error
+        assert abs(slope - direct_slope.value) <= slope_error + direct_slope.error
+        # the same panels; where x(u) falls steeply, u*f(x)*x'(u) carries
+        # the interpolant's steep slope and its panels bisect more often
+        assert parts[0] == direct[0]
+        if name == "step":
+            assert sum(parts) <= 1.25 * sum(direct)
+        else:
+            assert parts == direct
 
 
 class TestForce:
