@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 validation-check failure, 2 argument errors,
 stream stays clean.  CSV numbers use a fixed 17-significant-digit form so
 identical invocations are byte-identical; JSON uses the shortest
 round-trip representation.  A sweep's rows are evaluated as columns, each
-method in one pass over the whole grid (``compute`` is a one-point grid),
-and the CSV comes from one format template per row.
+method in one pass over the whole grid (``compute`` is a one-point grid).
+The CSV is built from those columns, and each printed number is
+formatted once: a grid value once per point, and a field that one float
+holds for a whole column once, as text in the template of a point's rows.
 """
 
 from __future__ import annotations
@@ -39,18 +41,18 @@ from .lifshitz import force_lifshitz, total_energy_lifshitz  # noqa: F401
 
 __all__ = ["main", "SweepSpec"]
 
+# the CSV columns after the swept variable, with the form of their cells: a float,
+# the swept variable's too, prints 17 significant digits, which round-trip it
 _CSV_COLUMNS = (
-    "e0",
-    "delta_e",
-    "e_surface",
-    "total",
-    "force",
-    "method",
-    "error_estimate",
-    "validity_flag",
+    ("e0", "%.16e"),
+    ("delta_e", "%.16e"),
+    ("e_surface", "%.16e"),
+    ("total", "%.16e"),
+    ("force", "%.16e"),
+    ("method", "%s"),
+    ("error_estimate", "%.16e"),
+    ("validity_flag", "%d"),
 )
-# one CSV row of the grid value and the columns above, in a round-trip 17-digit form
-_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%s,%.16e,%d\n"
 # the breakdown fields a row prints, in order, with their JSON keys and kinds
 _FIELDS = tuple(zip(
     ("e0", "delta_e", "e_surface", "total", "force", "error_estimate", "force_error"),
@@ -88,7 +90,12 @@ class SweepSpec:
             raise ValueError("dispersion coefficients must be >= 0")
 
     def grid(self) -> np.ndarray:
-        return (np.geomspace if self.scale == "log" else np.linspace)(self.min, self.max, self.points)
+        if self.scale == "linear":
+            return np.linspace(self.min, self.max, self.points)
+        # np.geomspace's definition, without its code for signs, complex values and dtypes
+        grid = np.power(10.0, np.linspace(np.log10(self.min), np.log10(self.max), self.points))
+        grid[0], grid[-1] = self.min, self.max
+        return grid
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -268,6 +275,11 @@ def _emit(text: str, out_path) -> None:
             handle.write(text)
 
 
+def _column(x, rows: int) -> list:
+    # an array's values, or a float that holds for every row
+    return x.tolist() if isinstance(x, np.ndarray) else [x] * rows
+
+
 def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None) -> int:
     """Evaluate each method once over the grid's column, warn once, emit CSV or JSON.
 
@@ -320,23 +332,13 @@ def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None
         raise
     if failure:
         raise failure[1]
-    tables = [
-        [x.tolist() if isinstance(x, np.ndarray) else [x] * len(values) for x in table]
-        for table in tables
-    ]
-    flagged = sum(sum(table[-1]) for table in tables)
+    flagged = sum(sum(_column(table[-1], len(values))) for table in tables)
     if flagged:
         print(
             f"warning: {flagged} of {len(values) * len(methods)} rows lie outside the "
             "dispersion model's trust region",
             file=sys.stderr,
         )
-    # point by point, and each point's methods in turn
-    printed = [
-        (value, method, *fields)
-        for value, *group in zip(values, *(zip(*table) for table in tables))
-        for method, fields in zip(methods, group)
-    ]
     if args.format == "json":
         keys = ("method", *(key for _, key, _ in _FIELDS), "beyond_validity")
         head = {
@@ -346,6 +348,13 @@ def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None
                 "length_unit_in_meters": units.length_unit_in_meters,
             },
         }
+        # point by point, and each point's methods in turn
+        method_rows = [zip(*(_column(x, len(values)) for x in table)) for table in tables]
+        printed = [
+            (value, method, *fields)
+            for value, *group in zip(values, *method_rows)
+            for method, fields in zip(methods, group)
+        ]
         records = [dict(zip(keys, row)) for _, *row in printed]
         if spec is None:
             document = {**head, "results": records}
@@ -354,10 +363,23 @@ def _run(args: argparse.Namespace, model, grid, spec: Optional[SweepSpec] = None
             document = {"sweep": asdict(spec), **head, "rows": body}
         text = json.dumps(document, indent=2) + "\n"
     else:
+        # one template prints a point's rows, one per method: a field that one
+        # float gives for the whole column is text in it, an array a conversion;
         # the CSV leaves out force_error_estimate and names the method sixth
-        text = ",".join((variable, *_CSV_COLUMNS)) + "\n" + "".join(
-            _CSV_ROW % (value, *fields[:5], method, fields[5], flag)
-            for value, method, *fields, _, flag in printed
+        points = ["%.16e" % value for value in values]
+        template, columns = "", []
+        for method, (*fields, _, flags) in zip(methods, tables):
+            parts = ["%s"]
+            columns.append(points)
+            for cell, (_, form) in zip((*fields[:5], method, fields[5], flags), _CSV_COLUMNS):
+                if isinstance(cell, np.ndarray):
+                    parts.append(form)
+                    columns.append(cell.tolist())
+                else:
+                    parts.append(form % cell)  # no text printed here holds a "%"
+            template += ",".join(parts) + "\n"
+        text = ",".join((variable, *(name for name, _ in _CSV_COLUMNS))) + "\n" + "".join(
+            [template % point for point in zip(*columns)]
         )
     _emit(text, args.out)
     return 0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -8,17 +9,23 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casdisp
-from casdisp.cli import _build_parser, _parse_plain, main
+from casdisp.cli import SweepSpec, _build_parser, _config_argv, _parse_plain, _run, main
 from casdisp.closed_form import Scenario, total_energy_analytic
 from casdisp.dispersion import Cauchy, min_separation
 from casdisp.lifshitz import Mode, QuadratureError, total_energy_lifshitz
-from test_golden import SHAPES
+from test_columns import _log_uniform
+from test_golden import GOLDEN, SHAPES
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -357,6 +364,163 @@ class TestSweep:
         assert payload["sweep"]["points"] == 2
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["L"] == 1.0
+
+
+# the CSV row as a loop over the rows prints it: the grid value, then the
+# columns, each formatted anew on every row
+_CSV_ROW = "%.16e,%.16e,%.16e,%.16e,%.16e,%.16e,%s,%.16e,%d\n"
+CSV_HEADER = "L,e0,delta_e,e_surface,total,force,method,error_estimate,validity_flag\n"
+BREAKDOWN = ("e0", "delta_e", "e_surface", "total", "force", "error_estimate", "force_error")
+
+# +-0.0, or a magnitude from 1e-300 to 1e300 of either sign
+PRINTED = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=-300.0, max_value=300.0),
+    ),
+)
+
+
+@st.composite
+def csv_cases(draw):
+    """A grid, its methods, and per method a breakdown whose every field,
+    and its flag, is one value for the whole column or an array of rows."""
+    rows = draw(st.integers(1, 100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def printed():
+        # an array of PRINTED's values, drawn in bulk: hypothesis draws each element slowly
+        values = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-300.0, 300.0, rows)
+        zeros = rng.random(rows) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+        values[zeros] = np.copysign(0.0, values[zeros])
+        return values
+
+    # compute's one point is a float; a sweep's grid is an array
+    compute = rows == 1 and draw(st.booleans())
+    grid = draw(PRINTED.map(abs).filter(bool)) if compute else printed()
+    methods = draw(st.sampled_from([["analytic"], ["lifshitz"], ["analytic", "lifshitz"]]))
+
+    def field():
+        return printed() if not compute and draw(st.booleans()) else draw(PRINTED)
+
+    def flags():
+        if compute or draw(st.booleans()):
+            return draw(st.booleans())
+        return rng.random(rows) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+    breakdowns = [
+        SimpleNamespace(**{name: field() for name in BREAKDOWN}, beyond_validity=flags())
+        for _ in methods
+    ]
+    return grid, methods, breakdowns
+
+
+def _reference_csv(values, methods, breakdowns) -> str:
+    def at(x, row):
+        return x.tolist()[row] if isinstance(x, np.ndarray) else x
+
+    text = CSV_HEADER
+    for row, value in enumerate(values):
+        for method, breakdown in zip(methods, breakdowns):
+            fields = [at(getattr(breakdown, name), row) for name in BREAKDOWN]
+            flag = at(breakdown.beyond_validity, row)
+            text += _CSV_ROW % (value, *fields[:5], method, fields[5], flag)
+    return text
+
+
+class TestCsvText:
+    """The CSV built from columns has the bytes of one template per row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_cases())
+    def test_matches_a_template_per_row(self, case):
+        grid, methods, breakdowns = case
+        given_rows = dict(zip(methods, breakdowns))
+        args = argparse.Namespace(
+            L=None, cs=None, rel_tol=1e-10, si=False, length_unit=None, mode="split",
+            method="both" if len(methods) == 2 else methods[0], format="csv", out=None,
+        )
+        is_grid = isinstance(grid, np.ndarray)
+        spec = SweepSpec("L", 1.0, 2.0, 2, "linear") if is_grid else None
+        out = io.StringIO()
+        with mock.patch.multiple(
+            "casdisp.cli",
+            range_error=lambda *a: None,
+            analytic_rows=lambda *a: given_rows["analytic"],
+            lifshitz_rows=lambda *a: given_rows["lifshitz"],
+        ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert _run(args, Cauchy(1.0, 0.0), grid, spec) == 0
+        values = grid.tolist() if is_grid else [grid]
+        assert out.getvalue() == _reference_csv(values, methods, breakdowns)
+
+
+def _sweep_specs(argvs):
+    """The SweepSpec of each sweep command line; a config file's keys count."""
+    parser, commands = _build_parser()
+    for argv in argvs:
+        if argv[0] != "sweep":
+            continue
+        args = _parse_plain(commands, argv) or parser.parse_args(argv)
+        if args.config is not None:
+            args = parser.parse_args(argv[:1] + _config_argv(args.config, args) + argv[1:])
+        yield SweepSpec(args.variable, args.min, args.max, args.points, args.scale)
+
+
+def _benchmark_argvs(tmp_path):
+    """Every sweep command line of seeds 1-10, their warm-ups, in passes 0-19."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    out = tmp_path / "out.csv"
+    for seed in [*range(1, 11), *range(-11, -1)]:
+        for workload in workloads.WORKLOADS:
+            tables = workloads.write_tables(seed, tmp_path) if workload == "full-route" else None
+            for slot in workloads.workload_slots(workload, seed, out, tables):
+                for pass_no in range(20):
+                    op = slot(pass_no)
+                    if op.kind != "battery":
+                        yield list(op.argv)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGrid:
+    """A log grid is np.geomspace's, bit for bit; a linear one is np.linspace's."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        lo=_log_uniform(1e-8, 1e8),
+        ratio=_log_uniform(1.0 + 1e-9, 1e6),
+        points=st.integers(2, 400),
+        variable=st.sampled_from(["L", "n1"]),
+    )
+    def test_log_grid_is_geomspace(self, lo, ratio, points, variable):
+        spec = SweepSpec(variable, lo, lo * ratio, points, "log")
+        assert _same_bits(spec.grid(), np.geomspace(lo, lo * ratio, points))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.one_of(st.just(0.0), _log_uniform(1e-8, 1e8)),
+        span=_log_uniform(1e-8, 1e8),
+        points=st.integers(2, 400),
+    )
+    def test_linear_grid_is_linspace(self, lo, span, points):
+        spec = SweepSpec("n1", lo, lo + span, points, "linear")
+        assert _same_bits(spec.grid(), np.linspace(lo, lo + span, points))
+
+    def test_golden_and_benchmark_grids(self, tmp_path):
+        golden = [[a.replace("{golden}", str(GOLDEN)) for a in argv] for argv in SHAPES.values()]
+        specs = set(_sweep_specs(golden)) | set(_sweep_specs(_benchmark_argvs(tmp_path)))
+        assert {spec.scale for spec in specs} == {"linear", "log"}
+        for spec in specs:
+            reference = np.geomspace if spec.scale == "log" else np.linspace
+            assert _same_bits(spec.grid(), reference(spec.min, spec.max, spec.points)), spec
 
 
 class TestHandlerErrors:

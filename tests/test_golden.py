@@ -61,6 +61,12 @@ SHAPES = {
         "--scale", "log", "--n0", "2.1", "--n1", "4e3", "--method", "both", "--mode", "split",
         "--format", "csv", "--si", "--length-unit", "1e-9",
     ],
+    # across the trust boundary L = 0.63; e_surface is a column for both methods
+    "sweep-L-split-csv-si-cs": [
+        "sweep", "--variable", "L", "--min", "0.2", "--max", "40", "--points", "20",
+        "--scale", "log", "--n0", "1.3", "--n1", "1e-2", "--cs", "1e-3", "--method", "both",
+        "--mode", "split", "--format", "csv", "--si", "--length-unit", "1e-9",
+    ],
     "sweep-n1-from-zero-csv": [
         "sweep", "--variable", "n1", "--min", "0", "--max", "2e-2", "--points", "7",
         "--L", "0.9", "--n0", "1.4", "--method", "both", "--format", "csv",
