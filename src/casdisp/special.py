@@ -12,7 +12,10 @@ integrands reach arguments e^(-2*kappa*L) that approach 1 exactly where
 accuracy matters most, so the near-unit branch carries the load there.
 Both strategies, and log(1 - e^-x), take numpy arrays as well as scalars,
 so an integrand evaluates all its quadrature nodes in one call, and both
-orders in one call.
+orders in one pass: a tuple of orders stacks them on a first axis that
+shares the branch masks and the series' Horner loop.  Only the cached c0
+and F(g) builds pass node arrays; a sweep's rows make no call, or one
+scalar (2, 3) pair per table row, for the end term U*I(x(U), 1).
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def _near_unit_coefficients(s: int) -> tuple[float, tuple[float, ...]]:
     # odd k - s contribute (zeta vanishes at negative even integers), so the
     # sum is c_s*(-w)^s + (-w)^(s+1) * P(w^2).  P's coefficients stop once
     # below 1e-20, their size at w = 1, and come highest power first, as
-    # Horner's rule takes them.
+    # numpy.polyval takes them.
     c = [_ZETA_NONPOS[k - s] / math.factorial(k) for k in range(s, s + len(_ZETA_NONPOS))]
     return c[0], tuple(reversed([v for v in c[1::2] if abs(v) >= 1e-20]))
 
@@ -124,51 +127,40 @@ def _scalar_or_array(arg, out):
 def _polylog_series(s, x):
     # Defining sum at a scalar or an array of x in [0, 1), by Horner's rule
     # with as many terms as the largest x needs.  ``s`` is an order, or a
-    # tuple of orders stacked on a first axis, each row to the same bits as
-    # when summed alone.  Each order runs its own loop over one contiguous
-    # row with Python-float steps: broadcasting a (2, 1) step over a stacked
-    # (2, n) array cost 164 us for 1,200 values, these row loops 111 us.
+    # tuple of orders whose sums share one loop over a stacked array (first
+    # axis the order), each to the same bits as when summed alone.
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    top = float(flat.max(initial=0.0))
+    top = float(x.max(initial=0.0))
     terms = 1 if top == 0.0 else math.ceil(math.log(_SERIES_EPS) / math.log(top))
     orders = s if isinstance(s, tuple) else (s,)
+    # 1/n^s per step n (rows) and order s (columns), each the correctly
+    # rounded 1.0/n**s of an exact integer power
     n = np.arange(min(max(terms, 1), _SERIES_CAP), 0, -1, dtype=np.int64)
-    total = np.zeros((len(orders), flat.size))
-    for row, k in zip(total, orders):
-        # the correctly rounded 1.0/n**k of an exact integer power, per step
-        for step in (1.0 / n**k).tolist():
-            row += step
-            row *= flat
-    total = total.reshape(len(orders), *x.shape)
+    steps = 1.0 / n[:, None] ** np.array(orders)
+    total = np.zeros((len(orders), *x.shape))
+    for step in steps.reshape(*steps.shape, *(1,) * x.ndim):
+        total += step
+        total *= x
     if isinstance(s, tuple):
         return total
     return _scalar_or_array(x, total[0])
 
 
-def _near_unit_sum(s: int, w, lg, square):
-    # Li_s(e^-w) expanded in powers of w (convergent for 0 < w < 2*pi),
-    # given lg = log(w) and square = w*w, which both orders share.  The
-    # k = s-1 term carries the log; the remaining coefficients are zeta
-    # values at non-positive integers (Bernoulli numbers in disguise).
+def _polylog_near_unit(s: int, w):
+    # Li_s(e^-w) expanded in powers of w (convergent for 0 < w < 2*pi).
+    # The k = s-1 term carries the log; the remaining coefficients are
+    # zeta values at non-positive integers (Bernoulli numbers in disguise).
+    w = np.asarray(w, dtype=float)
+    lg = np.log(w)
     if s == 2:
         total = ZETA_VALUES[2] - w * (1.0 - lg)
     else:
         total = ZETA_VALUES[3] - ZETA_VALUES[2] * w + 0.5 * w * w * (1.5 - lg)
     first, odd = _NEAR_UNIT[s]
+    square = w * w
     power = square if s == 2 else -square * w  # (-w)^s
-    # numpy.polyval's steps y*square + c in place, without a new array each
-    poly = np.full(np.shape(square), odd[0])
-    for c in odd[1:]:
-        poly *= square
-        poly += c
-    return total + power * (first - w * poly)
-
-
-def _polylog_near_unit(s: int, w):
-    # Li_s(e^-w) by the expansion about the unit argument alone
-    w = np.asarray(w, dtype=float)
-    return _scalar_or_array(w, _near_unit_sum(s, w, np.log(w), w * w))
+    total = total + power * (first - w * np.polyval(odd, square))
+    return _scalar_or_array(w, total)
 
 
 def polylog_exp_neg(s: int | tuple[int, ...], w):
@@ -179,11 +171,8 @@ def polylog_exp_neg(s: int | tuple[int, ...], w):
     where x = e^-w collapses onto 1.  ``w`` may be a scalar, which gives a
     float, or an array, which gives an array of the same shape.  ``s`` may
     also be a tuple of orders, such as (2, 3): that gives an array with one
-    row per order stacked ahead of w's shape, and each row equals the
-    single-order result to the bit.  The orders share the branch masks,
-    the exp and log of w and w*w; each then fills its own contiguous row,
-    since a write through a 2-D mask, out[:, far], cost 31.5 us for 2,000
-    of 3,000 values against 15.0 us for two row writes.
+    row per order stacked ahead of w's shape, from one pass over w, and
+    each row equals the single-order result to the bit.
     """
     orders = s if isinstance(s, tuple) else (s,)
     if not orders or any(k not in (2, 3) for k in orders):
@@ -191,23 +180,19 @@ def polylog_exp_neg(s: int | tuple[int, ...], w):
     arr = np.asarray(w, dtype=float)
     if not np.all(arr >= 0.0):
         raise ValueError(f"exponent must be non-negative, got {w}")
-    flat = arr.reshape(-1)
-    out = np.empty((len(orders), flat.size))
-    for row, k in zip(out, orders):
-        row.fill(ZETA_VALUES[k])
-    near = (flat > 0.0) & (flat < _NEAR_UNIT_BELOW)
-    far = flat >= _NEAR_UNIT_BELOW
+    out = np.empty((len(orders), *arr.shape))
+    for i, k in enumerate(orders):
+        out[i] = ZETA_VALUES[k]
+    near = (arr > 0.0) & (arr < _NEAR_UNIT_BELOW)
+    far = arr >= _NEAR_UNIT_BELOW
     # a branch no element takes is skipped: its numpy calls on an empty
     # array cost as much as on a small one
     if near.any():
-        w_near = flat[near]
-        lg, square = np.log(w_near), w_near * w_near
-        for row, k in zip(out, orders):
-            row[near] = _near_unit_sum(k, w_near, lg, square)
+        w_near = arr[near]
+        for i, k in enumerate(orders):
+            out[i, near] = _polylog_near_unit(k, w_near)
     if far.any():
-        for row, values in zip(out, _polylog_series(orders, np.exp(-flat[far]))):
-            row[far] = values
-    out = out.reshape(len(orders), *arr.shape)
+        out[:, far] = _polylog_series(orders, np.exp(-arr[far]))
     if isinstance(s, tuple):
         return out
     return _scalar_or_array(w, out[0])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casdisp.lifshitz import QuadratureSpec
 from casdisp.special import (
     ZETA_VALUES,
     cutoff_zeta_demo,
@@ -346,24 +347,34 @@ class TestPairedOrders:
             np.random.default_rng(6).uniform(0.0, 3.0, 900)[::3],
             np.asfortranarray(np.random.default_rng(7).uniform(0.0, 5.0, (30, 20))),
             np.random.default_rng(8).uniform(0.0, 3.0, (120, 1)),
+            # scalars past the unit argument; a table row's one call has
+            # w = 2*x(u_max) >= 2*u_max
+            3.0,
+            2.0 * QuadratureSpec().u_max,
+            40.0,
+            745.0,
+            800.0,
         ],
         ids=[
             "edge-grid", "uniform-0-3", "log-uniform", "two-dimensional", "empty",
             "all-zero", "all-near-unit", "all-series", "strided", "fortran-order", "column",
+            "scalar-3", "scalar-2-u-max", "scalar-40", "scalar-745", "scalar-800",
         ],
     )
-    def test_pair_matches_each_order_alone(self, w):
-        pair = polylog_exp_neg((2, 3), w)
-        assert pair.shape == (2, *w.shape)
-        for row, s in zip(pair, (2, 3)):
-            assert row.tobytes() == polylog_exp_neg(s, w).tobytes()
+    @pytest.mark.parametrize("orders", [(2, 3), (3, 2)], ids=["2-3", "3-2"])
+    def test_pair_matches_each_order_alone(self, orders, w):
+        pair = polylog_exp_neg(orders, w)
+        assert pair.shape == (len(orders), *np.shape(w))
+        for row, s in zip(pair, orders):
+            assert row.tobytes() == np.asarray(polylog_exp_neg(s, w)).tobytes()
             assert row.tobytes() == _one_order(s, w).tobytes()
 
-    def test_series_pair_matches_each_order_alone(self):
+    @pytest.mark.parametrize("orders", [(2, 3), (3, 2)], ids=["2-3", "3-2"])
+    def test_series_pair_matches_each_order_alone(self, orders):
         x = np.exp(-np.random.default_rng(9).uniform(1.0, 8.0, (6, 50)))
-        pair = _polylog_series((2, 3), x)
+        pair = _polylog_series(orders, x)
         assert pair.shape == (2, *x.shape)
-        for row, s in zip(pair, (2, 3)):
+        for row, s in zip(pair, orders):
             assert row.tobytes() == _polylog_series(s, x).tobytes()
 
     def test_scalar_and_order_checks(self):
