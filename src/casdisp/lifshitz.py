@@ -34,24 +34,28 @@ decided once per row; the first-order part it drops is reported as a
 model error, and the beyond-validity flag is the trust region's alone.
 F(g) and F'(g) are read from Chebyshev interpolants built once per
 ``QuadratureSpec``.  A column of rows is one evaluation, in which each
-full-kappa_1 row reads F(g) and each table row makes its own node pass.
+full-kappa_1 row reads F(g) and a table's rows share the node passes.
 
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
 QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
 as one array, bisecting only the panels that miss their share of the
-tolerance.  The panels are graded toward the logarithmic point of I(u, 1)
-at u = 0, broken at a table's knots, where its integrand is only C^1, and
-cut into equal parts elsewhere, so c0 and c1 take one pass of 585 nodes
-each.  QUADPACK itself only backs the independent oracle
-``inner_integral_quadrature``.
+tolerance.  The rows of a table column go through it together, each
+panel carrying its row and each row keeping its own tolerance and sums,
+so that every row has the bits it has alone (at the default tail cut,
+see ``_table_rows``).  The panels are graded toward the logarithmic
+point of I(u, 1) at u = 0, broken at a table's knots, where its
+integrand is only C^1, and cut into equal parts elsewhere, so c0 and c1
+take one pass of 585 nodes each.  QUADPACK itself only backs the
+independent oracle ``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
 is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table, at fixed
 xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x*f(x) - 2*I(x, 1), with
 f(x) = x*log(1 - e^(-2x)), and the window, fixed in u, shrinks in xi as L
 grows, so dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
-As dI(x, 1)/dx = -f(x), a table row integrates both by parts, with one
-pass over [u*f(x)*x'(u), x*f(x)] and Li_2, Li_3 only at x(u_max).
+As dI(x, 1)/dx = -f(x), a table row integrates both by parts, with
+passes over [u*f(x)*x'(u), x*f(x)] and Li_2, Li_3 only at x(u_max), in
+one call over the column's rows.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -233,59 +238,136 @@ _GAUSS_WEIGHTS = np.array(_GAUSS_HALF + _GAUSS_HALF[-2::-1])
 _ROUNDING = 1e-15
 
 
+# A column's rows go through the panel rule in groups of whole rows whose
+# first passes hold at most this many nodes together; a row past it makes
+# its passes alone.  A sweep of two rows of a 200-knot table fits in one
+# group.  Over 200 such rows, larger caps ran no faster and held more
+# memory at once: about 1 MB at this cap, 4 MB at 32,768 nodes and 39 MB
+# with no cap (traced peaks on a 2-CPU Xeon).
+_PASS_NODES = 8192
+
+
 def _integrate_panels(
-    integrand: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[..., np.ndarray],
     breaks,
     spec: QuadratureSpec,
+    column: bool = False,
 ):
-    # Gauss-Kronrod 7/15 on each panel between consecutive breakpoints, all
-    # panels' nodes in one array per pass, so the integrand runs once per
-    # pass.  The integrand gives a (k, nodes) stack of k integrands sharing
-    # the nodes, and the result is a tuple of k Estimates.  A panel's error
-    # is |K15 - G7|; a panel whose error exceeds its width's share of
+    # The integral of integrand(u) over the panels between consecutive
+    # breakpoints, as a tuple of Estimates, or with ``column`` set, of each
+    # row of a column: ``breaks`` yields each row's breakpoints in turn,
+    # read no further than a row past the group being integrated, the
+    # integrand takes the nodes and each node's row, and the result is a
+    # list of the rows' tuples, from passes over groups of rows of at most
+    # _PASS_NODES nodes.  Each row gives the bits of its one-row call.
+    if not column:
+        edges = np.asarray(breaks, dtype=float)
+        (result,) = _panel_passes(lambda u, row: integrand(u), [edges], 0, spec)
+        return result
+    results, group, nodes = [], [], 0
+    for edges in breaks:
+        size = _KRONROD_NODES.size * (len(edges) - 1)
+        if group and nodes + size > _PASS_NODES:
+            results += _panel_passes(integrand, group, len(results), spec)
+            group, nodes = [], 0
+        group.append(np.asarray(edges, dtype=float))
+        nodes += size
+    return results + _panel_passes(integrand, group, len(results), spec)
+
+
+def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> list:
+    # Gauss-Kronrod 7/15 on each panel between consecutive breakpoints of
+    # rows first, first + 1, ...: every panel carries its row, and all
+    # panels' nodes go through the integrand as one array per pass.  The
+    # integrand gives a (k, nodes) stack of k integrands sharing the nodes,
+    # and each row's result is a tuple of k Estimates.  A panel's error is
+    # |K15 - G7|; a panel whose error exceeds its width's share of its row's
     # max(abs_tol, rel_tol*|value|) in any component is bisected, and only
-    # its halves make the next pass.
-    # The estimate is the sum of the panels' errors plus the rounding floor.
-    # After floor(log2(max_subdivisions)) bisections a panel still failing
-    # raises QuadratureError, as does a non-finite integrand value.
-    edges = np.asarray(breaks, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    span = edges[-1] - edges[0]
-    value = error = mass = 0.0  # of the panels accepted so far
+    # its halves make the next pass.  A row's estimate is the sum of its
+    # panels' errors plus the rounding floor.  Each row's panels stay one
+    # run, in the order they would have alone, and each of its sums indexes
+    # and reduces that run as its one-row call does its whole arrays, so
+    # every row has the bits of its one-row call (a sum over several rows,
+    # or over another memory layout, may add in another order).  After
+    # floor(log2(max_subdivisions)) bisections a panel still failing fails
+    # its row, as does a non-finite integrand value; once every row has
+    # finished, the first failed row's QuadratureError is raised.
+    rows = list(range(first, first + len(breaks)))  # of the pass, in order
+    counts = [e.size - 1 for e in breaks]  # their panels
+    lo = np.concatenate([e[:-1] for e in breaks])
+    hi = np.concatenate([e[1:] for e in breaks])
+    row = np.repeat(rows, counts)
+    span = {r: e[-1] - e[0] for r, e in zip(rows, breaks)}
+    # of each row's panels accepted so far
+    value, error, mass = ({r: 0.0 for r in rows} for _ in range(3))
+    results, failures = {}, {}
     bisections = 0
-    while True:
+    while rows:
         half = 0.5 * (hi - lo)
         nodes = (lo + half)[:, None] + half[:, None] * _KRONROD_NODES
-        values = integrand(nodes.ravel()).reshape((-1, *nodes.shape))
+        values = integrand(nodes.ravel(), np.repeat(row, _KRONROD_NODES.size))
+        values = values.reshape((-1, *nodes.shape))
         if not np.all(np.isfinite(values)):
-            raise QuadratureError("integrand is not finite at a quadrature node")
+            bad = set(row[~np.all(np.isfinite(values), axis=(0, 2))].tolist())
+            for r in bad:
+                failures[r] = "integrand is not finite at a quadrature node"
+            keep = np.array([r not in bad for r in row.tolist()])
+            values = values[:, keep]
+            lo, hi, half, row = lo[keep], hi[keep], half[keep], row[keep]
+            counts = [c for r, c in zip(rows, counts) if r not in bad]
+            rows = [r for r in rows if r not in bad]
+            if not rows:
+                break
         # (component, panel) sums, each panel's nodes summed in one order
         # whatever the stack holds
         kronrod = (values * _KRONROD_WEIGHTS).sum(axis=-1) * half
         gauss = (values[..., 1::2] * _GAUSS_WEIGHTS).sum(axis=-1) * half
         spread = np.abs(kronrod - gauss)
         panel_mass = (np.abs(values) * _KRONROD_WEIGHTS).sum(axis=-1) * half
-        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value + kronrod.sum(axis=-1)))
-        failing = np.any(spread > target[:, None] * (2.0 * half / span), axis=0)
-        kept = ~failing
-        value = value + kronrod[:, kept].sum(axis=-1)
-        error = error + spread[:, kept].sum(axis=-1)
-        mass = mass + panel_mass[:, kept].sum(axis=-1)
-        if not failing.any():
-            return tuple(
-                Estimate(float(v), float(e))
-                for v, e in zip(value, error + _ROUNDING * mass)
-            )
-        if 2 ** (bisections + 1) > spec.max_subdivisions:
-            raise QuadratureError(
-                f"panel rule did not converge after {bisections} bisections "
-                f"(max_subdivisions {spec.max_subdivisions}): "
-                f"largest panel error {spread[:, failing].max():.3g}"
-            )
+        ends = list(accumulate(counts))
+        starts = [0, *ends[:-1]]
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.stack([
+            value[r] + kronrod[:, s:e].sum(axis=-1) for r, s, e in zip(rows, starts, ends)
+        ], axis=-1)))
+        share = 2.0 * half / np.repeat([span[r] for r in rows], counts)
+        failing = np.any(spread > np.repeat(target, counts, axis=-1) * share, axis=0)
+        kept = np.flatnonzero(~failing)
+        cuts = np.searchsorted(kept, ends).tolist()
+        limit = 2 ** (bisections + 1) > spec.max_subdivisions
+        runs = zip(rows, starts, ends, [0, *cuts[:-1]], cuts)
+        rows, counts = [], []
+        for r, s, e, a, b in runs:
+            own = kept[a:b]
+            value[r] = value[r] + kronrod[:, own].sum(axis=-1)
+            error[r] = error[r] + spread[:, own].sum(axis=-1)
+            mass[r] = mass[r] + panel_mass[:, own].sum(axis=-1)
+            bisected = e - s - (b - a)
+            if not bisected:
+                results[r] = tuple(map(Estimate, value[r].tolist(),
+                                       (error[r] + _ROUNDING * mass[r]).tolist()))
+            elif limit:
+                failures[r] = (
+                    f"panel rule did not converge after {bisections} bisections "
+                    f"(max_subdivisions {spec.max_subdivisions}): "
+                    f"largest panel error {spread[:, s:e][:, failing[s:e]].max():.3g}"
+                )
+            else:
+                rows.append(r)
+                counts.append(2 * bisected)
+        if not rows:
+            break
         bisections += 1
         mid = lo[failing] + half[failing]
         lo = np.concatenate((lo[failing], mid))
         hi = np.concatenate((mid, hi[failing]))
+        row = np.concatenate((row[failing], row[failing]))
+        if len(rows) > 1:
+            # each row's halves back into one run, lower halves first
+            order = np.argsort(row, kind="stable")
+            lo, hi, row = lo[order], hi[order], row[order]
+    if failures:
+        raise QuadratureError(failures[min(failures)])
+    return [results[r] for r in sorted(results)]
 
 
 # Breaks at 2^-k, k = 0..20, grade the panels toward the x^2*log(x) point
@@ -295,22 +377,29 @@ def _integrate_panels(
 _GRADING = 2.0 ** -np.arange(21.0)
 
 
-def _graded_breaks(end: float, width: float, knots: np.ndarray = np.empty(0)) -> np.ndarray:
+def _graded_breaks(end: float, width: float, knots: np.ndarray = np.empty(0)):
     # panel breaks on [0, end]: the grading, the knots inside the window
     # (where a table's interpolant is only C^1, and flat past its ends), and
-    # equal parts of every gap wider than ``width``.  A gap of width 0, a
-    # knot on a grading point, gets no part, so np.unique (whose first call
-    # imports numpy.ma, 10 ms) is not needed.
-    edges = np.sort(np.concatenate((
-        (0.0, end),
-        _GRADING[_GRADING < end],
-        knots[(knots > 0.0) & (knots < end)],
-    )))
-    widths = np.diff(edges)
+    # equal parts of every gap wider than ``width``.  A gap of width 0, at a
+    # knot on 0, on a grading point or past the end (clipped onto it), gets
+    # no part, so np.unique (whose first call imports numpy.ma, 10 ms) is not
+    # needed.  Knots of shape (rows, K), none negative, give a list of each
+    # row's breaks.
+    rows = np.atleast_2d(knots)
+    fixed = np.concatenate(((0.0, end), _GRADING[_GRADING < end]))
+    edges = np.concatenate(
+        (np.repeat(fixed[None], len(rows), axis=0), np.minimum(rows, end)), axis=1
+    )
+    edges.sort(axis=1)
+    widths = edges[:, 1:] - edges[:, :-1]
     parts = np.ceil(widths / width).astype(int)
-    part = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+    ends = np.cumsum(parts.sum(axis=1)).tolist()
+    widths, parts = widths.ravel(), parts.ravel()
+    part = np.arange(ends[-1]) - np.repeat(np.cumsum(parts) - parts, parts)
     step = np.repeat(widths, parts) / np.repeat(parts, parts)
-    return np.append(np.repeat(edges[:-1], parts) + part * step, end)
+    lower = np.repeat(edges[:, :-1].ravel(), parts) + part * step
+    breaks = [np.append(lower[a:b], end) for a, b in zip([0, *ends], ends)]
+    return breaks if np.ndim(knots) == 2 else breaks[0]
 
 
 def _e0_tail_bound(u_max: float) -> float:
@@ -617,36 +706,57 @@ def _tabulated_full(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate
     # (energy, force) of a row, or arrays of them over a column: the force
     # is -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
     n = min(model.n)
-    raw, raw_error, slope, slope_error = _per_row(_table_pass, L, model, n, quad)
+    numbers = _table_rows(np.atleast_1d(L), model, n, quad)
+    if not isinstance(L, np.ndarray):
+        numbers = [float(a[0]) for a in numbers]
+    raw, raw_error, slope, slope_error = numbers
     scale = 1.0 / (_TWO_PI_SQ * n * _power(L, 3))
     energy = _scaled(Estimate(raw, raw_error), scale)
     return energy, _scaled(Estimate(slope, slope_error), -scale / L)
 
 
-def _table_pass(L: float, model: Tabulated, n: float, quad: QuadratureSpec) -> tuple:
-    # a row's two integrals and their errors, by parts.  With
-    # f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and x(u) = kappa_1*L is
-    # C^1 (PCHIP, flat past the table's ends), monotone or not, so on [0, U]
+def _table_rows(L: np.ndarray, model: Tabulated, n: float, quad: QuadratureSpec) -> tuple:
+    # each row's two integrals and their errors, by parts, as arrays over
+    # the column L.  With f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and
+    # x(u) = kappa_1*L is C^1 (PCHIP, flat past the table's ends), monotone
+    # or not, so on [0, U]
     #   int I(x, 1) du = U*I(x(U), 1) + int u*f(x)*x'(u) du
     #   int G(x) du - U*I(x(U), 1) = -int x*f(x) du - 2*int I(x, 1) du - U*I(x(U), 1)
-    # from one node pass over [u*f*x', x*f]; Li_2 and Li_3 run once, at U.
-    # Every node has u > 0, so x >= u > 0.
+    # from node passes over [u*f*x', x*f] that the rows share; Li_2 and
+    # Li_3 run once, at every row's U.  Every node has u > 0, so x >= u > 0.
+    # The polylogarithm series takes as many terms as the column's largest
+    # e^(-2x(U)) needs.  At the default tail cut, x(U) >= u_max makes that
+    # one or two terms, which give every row its one-row bits; past a tail
+    # cut of about 1e-16 a row's end term can differ from its one-row call
+    # in the last bit (about 1 in 16,000 in random trials).
     u_max = quad.u_max
-    edge = u_max * inner_integral(kappa_lower(model, u_max / (n * L)) * L, 1.0)
+    scale = n * L
+    edge = u_max * inner_integral(kappa_lower(model, u_max / scale) * L, 1.0)
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        xi = u / (n * L)
+    def integrand(u: np.ndarray, row: np.ndarray) -> np.ndarray:
+        xi = u / scale[row]
         index, slope = model._index_and_slope(xi)
-        x = index * xi * L
+        x = index * xi * L[row]
         f = x * log_one_minus_exp(2.0 * x)
         # x'(u) = (n(xi) + xi*n'(xi))/n
         return np.stack((u * f * (index + xi * slope) / n, x * f))
 
     knots, _ = model._interpolator
-    parts, square = _integrate_panels(integrand, _graded_breaks(u_max, 1.0, n * L * knots), quad)
-    raw = edge + parts.value
-    return (raw, parts.error + _e0_tail_bound(u_max), -square.value - 2.0 * raw - edge,
-            square.error + 2.0 * parts.error + _force_tail_bound(u_max))
+    # the rows' breaks as the passes take them, a block of rows at a time,
+    # each block's arrays of about _PASS_NODES gaps
+    block = max(1, _PASS_NODES // (knots.size + _GRADING.size))
+    breaks = (
+        row_breaks
+        for start in range(0, L.size, block)
+        for row_breaks in _graded_breaks(u_max, 1.0, np.outer(scale[start:start + block], knots))
+    )
+    rows = _integrate_panels(integrand, breaks, quad, column=True)
+    parts, parts_error, square, square_error = np.array(
+        [(p.value, p.error, q.value, q.error) for p, q in rows]
+    ).T
+    raw = edge + parts
+    return (raw, parts_error + _e0_tail_bound(u_max), -square - 2.0 * raw - edge,
+            square_error + 2.0 * parts_error + _force_tail_bound(u_max))
 
 
 def total_energy_lifshitz(
@@ -672,8 +782,8 @@ def lifshitz_rows(
 
     As in ``closed_form.analytic_rows``, with one body for a row and a
     column: split rows are arithmetic on c0 and c1, and inside the one
-    evaluation each full-kappa_1 row reads F(g) and each table row makes its
-    own node pass.
+    evaluation each full-kappa_1 row reads F(g) and a table's rows share
+    the node passes.
     """
     e_s = surface_energy(L, surface) if surface else 0.0
     model_error = 0.0

@@ -14,8 +14,8 @@ Both strategies, and log(1 - e^-x), take numpy arrays as well as scalars,
 so an integrand evaluates all its quadrature nodes in one call, and both
 orders in one pass: a tuple of orders stacks them on a first axis that
 shares the branch masks and the series' Horner loop.  Only the cached c0
-and F(g) builds pass node arrays; a sweep's rows make no call, or one
-scalar (2, 3) pair per table row, for the end term U*I(x(U), 1).
+and F(g) builds pass node arrays; a sweep makes no call, or for a table
+one (2, 3) call over its rows' end terms U*I(x(U), 1).
 """
 
 from __future__ import annotations

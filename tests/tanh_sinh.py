@@ -3,6 +3,7 @@
 ``integrate`` takes the arguments of ``casdisp.lifshitz._integrate_panels``
 and gives results of the same shapes, so a test can put it in the panel
 rule's place and compare the two rules on the same integrand and breaks.
+A column's rows integrate one at a time.
 """
 
 import math
@@ -16,7 +17,12 @@ from casdisp.lifshitz import _ROUNDING, Estimate, QuadratureError
 _T_MAX = 3.25
 
 
-def integrate(integrand, breaks, spec):
+def integrate(integrand, breaks, spec, column=False):
+    if column:
+        return [
+            integrate(lambda u, r=r: integrand(u, np.full(u.shape, r)), row_breaks, spec)
+            for r, row_breaks in enumerate(breaks)
+        ]
     # On a panel [a, b] of half-width d, the step t maps to the nodes
     # a + d*e(t) and b - d*e(t), with e(t) = 1 - tanh(pi/2*sinh t) written
     # so that it keeps its digits near the ends, and weight

@@ -9,6 +9,8 @@ over the rows, one ``Scenario`` at a time, would meet first.
 import csv
 import io
 import math
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,17 +26,34 @@ from casdisp.closed_form import (
     force_analytic,
     total_energy_analytic,
 )
-from casdisp.dispersion import Cauchy, Tabulated
+from casdisp.dispersion import Cauchy, Tabulated, load_index_table
 from casdisp.lifshitz import (
     DEFAULT_QUADRATURE,
     Mode,
     QuadratureError,
+    QuadratureSpec,
     lifshitz_rows,
     total_energy_lifshitz,
 )
 from casdisp.units import UnitMode, UnitSystem, convert_units
 
 FIELDS = ("e0", "delta_e", "e_surface", "total", "force", "error_estimate", "force_error")
+
+_XI = [40.0 * (k / 39) ** 2 for k in range(40)]
+COLUMN_TABLES = {
+    # n(i*xi) = sqrt(1 + 2/(1 + xi^2)) on 40 knots
+    "drude40": Tabulated(tuple(_XI), tuple(math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in _XI)),
+    "drude200": load_index_table(Path(__file__).resolve().parent / "golden" / "drude200.csv"),
+    # x(u) falls on the drop, from 3u to u
+    "step": Tabulated((0.0, 1.0, 1.1, 40.0), (3.0, 3.0, 1.0, 1.0)),
+    "two": Tabulated((0.0, 40.0), (1.8, 1.1)),
+}
+COLUMN_SPECS = {
+    "default": DEFAULT_QUADRATURE,
+    # the panels bisect
+    "rel_tol=1e-13": QuadratureSpec(rel_tol=1e-13),
+    "tail_cut=1e-8": QuadratureSpec(tail_cut=1e-8),
+}
 
 
 def _log_uniform(lo: float, hi: float):
@@ -130,18 +149,58 @@ class TestRowsMatchFloatCalls:
         for row, scalar in enumerate(scalars):
             assert repr(_row(column, "model_error", row)) == repr(scalar.model_error)
 
-    def test_table_column(self):
-        xi = [40.0 * (k / 39) ** 2 for k in range(40)]
-        table = Tabulated(tuple(xi), tuple(math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in xi))
-        L = np.geomspace(0.5, 10.0, 4)
-        column = lifshitz_rows(L, table, SurfaceTermSpec(1e-3), DEFAULT_QUADRATURE,
-                               Mode.FULL_KAPPA1)
+    @pytest.mark.parametrize("rows", [1, 2, 7, "past-cap"])
+    @pytest.mark.parametrize("spec", sorted(COLUMN_SPECS))
+    @pytest.mark.parametrize("table", sorted(COLUMN_TABLES))
+    def test_table_column(self, monkeypatch, table, spec, rows):
+        # a table column's rows share the panel rule's passes, in groups of
+        # at most lifshitz._PASS_NODES nodes; "past-cap" is the shortest
+        # column whose rows hold more, which takes two groups
+        model, quad = COLUMN_TABLES[table], COLUMN_SPECS[spec]
+        ladder = 2.0 * 1.25 ** np.arange(24)
+        knots = min(model.n) * np.asarray(model.xi)
+        nodes = accumulate(
+            15 * (lifshitz._graded_breaks(quad.u_max, 1.0, x * knots).size - 1) for x in ladder
+        )
+        past_cap = 1 + next(k for k, total in enumerate(nodes) if total > lifshitz._PASS_NODES)
+        L = ladder[: past_cap if rows == "past-cap" else rows]
+        groups = []
+        passes = lifshitz._panel_passes
+
+        def counted(integrand, breaks, first, spec):
+            groups.append(len(breaks))
+            return passes(integrand, breaks, first, spec)
+
+        monkeypatch.setattr(lifshitz, "_panel_passes", counted)
+        column = lifshitz_rows(L, model, SurfaceTermSpec(1e-3), quad, Mode.FULL_KAPPA1)
+        assert sum(groups) == len(L)
+        if rows == "past-cap":
+            assert len(groups) == 2
         scalars = [
-            total_energy_lifshitz(Scenario(float(x), table, SurfaceTermSpec(1e-3)),
-                                  mode=Mode.FULL_KAPPA1)
+            total_energy_lifshitz(Scenario(float(x), model, SurfaceTermSpec(1e-3)), quad,
+                                  Mode.FULL_KAPPA1)
             for x in L
         ]
         _assert_rows_match(column, scalars)
+
+    def test_table_column_fails_as_its_first_failing_row(self):
+        # Alone, L = 0.03 converges and L = 0.5 and 4 fail, each with its
+        # own largest panel error; the column reports the first of them,
+        # not the largest over the column
+        step = COLUMN_TABLES["step"]
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
+
+        def message(L):
+            with pytest.raises(QuadratureError) as failure:
+                lifshitz_rows(L, step, None, spec, Mode.FULL_KAPPA1)
+            return str(failure.value)
+
+        lifshitz_rows(0.03, step, None, spec, Mode.FULL_KAPPA1)
+        first, second = message(0.5), message(4.0)
+        assert first.endswith("largest panel error 3.47e-18")
+        assert second.endswith("largest panel error 4.27e-16")
+        assert message(np.array([0.03, 0.5, 4.0])) == first
+        assert message(np.array([0.03, 4.0, 0.5])) == second
 
     @pytest.mark.parametrize("column", ["L", "n1", "table"])
     def test_one_evaluation_per_column(self, monkeypatch, column):
@@ -155,9 +214,7 @@ class TestRowsMatchFloatCalls:
 
         monkeypatch.setattr(lifshitz, "lifshitz_rows", counted)
         if column == "table":
-            xi = [40.0 * (k / 39) ** 2 for k in range(40)]
-            model = Tabulated(tuple(xi), tuple(math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in xi))
-            L = np.geomspace(0.5, 10.0, 3)
+            model, L = COLUMN_TABLES["drude40"], np.geomspace(0.5, 10.0, 3)
         elif column == "L":
             model, L = Cauchy(1.1, 1e-2), np.geomspace(0.2, 12.0, 5)
         else:

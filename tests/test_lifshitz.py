@@ -305,15 +305,16 @@ class TestScaleFreeSplit:
 
 
 def _count_passes(monkeypatch, passes: list) -> None:
-    # record the node count of every pass of lifshitz._integrate_panels
+    # record the node count of every pass of lifshitz._integrate_panels, in
+    # its one-row form or over a column of rows
     rule = lifshitz._integrate_panels
 
-    def counting(integrand, breaks, spec):
-        def counted(u):
+    def counting(integrand, breaks, spec, column=False):
+        def counted(u, *row):
             passes.append(u.size)
-            return integrand(u)
+            return integrand(u, *row)
 
-        return rule(counted, breaks, spec)
+        return rule(counted, breaks, spec, column=column)
 
     monkeypatch.setattr(lifshitz, "_integrate_panels", counting)
 
@@ -352,12 +353,13 @@ class TestOnePassPerRow:
 
     @pytest.mark.parametrize("kind", ["full-kappa1", "tabulated"])
     def test_one_polylogarithm_pass_per_level(self, monkeypatch, capsys, tmp_path, kind):
-        # A table row runs log_one_minus_exp once per node-rule pass, on
-        # arrays only, and kappa_lower and inner_integral once per row,
-        # whatever the number of passes: both only at the window's end, for
-        # the boundary term of its integrals by parts.  A full-kappa_1 row
-        # reads F(g) from its spec's interpolant, built here beforehand, and
-        # runs none of them.
+        # A table column runs log_one_minus_exp once per node-rule pass, on
+        # arrays only, and kappa_lower and inner_integral once, on an array
+        # of its rows, whatever the number of passes: both only at the
+        # window's end, for the boundary term of its integrals by parts.
+        # Its rows share each pass: 690 + 645 nodes, then 90 + 90 once both
+        # bisect.  A full-kappa_1 row reads F(g) from its spec's
+        # interpolant, built here beforehand, and runs none of them.
         if kind == "full-kappa1":
             argv = ["compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3", "--mode", "full"]
             total_energy_lifshitz(Scenario(1.0, Cauchy(1.5, 1e-3)), mode=Mode.FULL_KAPPA1)
@@ -393,9 +395,9 @@ class TestOnePassPerRow:
             assert passes == []
             assert calls == {name: [] for name in calls}
         else:
-            assert passes == [690, 90, 645, 90]
-            assert calls["inner_integral"] == calls["kappa_lower"] == [0, 0]
-            assert calls["log_one_minus_exp"] == [1, 1, 1, 1]
+            assert passes == [1335, 180]
+            assert calls["inner_integral"] == calls["kappa_lower"] == [1]
+            assert calls["log_one_minus_exp"] == [1, 1]
 
 
 def _quadpack_oracle(integrand, breaks):
@@ -517,6 +519,22 @@ class TestPanelRule:
         with pytest.raises(QuadratureError):
             _integrate_panels(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
 
+    def test_a_column_fails_as_its_first_failing_row(self):
+        # one row uses up its bisections and the other is not finite at its
+        # first pass; a loop over the rows would meet the first row's failure
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=10)
+
+        def column(bad_row):
+            def integrand(u, row):
+                return np.where(row == bad_row, np.nan, np.sin(1e6 * u * u))[None]
+
+            _integrate_panels(integrand, [(0.0, 20.0), (0.0, 20.0)], spec, column=True)
+
+        with pytest.raises(QuadratureError, match="after 3 bisections"):
+            column(1)
+        with pytest.raises(QuadratureError, match="not finite"):
+            column(0)
+
     def test_unresolved_oscillation_uses_up_the_bisections(self, monkeypatch):
         # max_subdivisions 10 allows floor(log2 10) = 3 bisections: four
         # passes, then the rule gives up
@@ -628,7 +646,11 @@ class TestTableByParts:
                 _count_passes(patch, passes)
                 return route(L, table, n, spec), passes
 
-        (raw, raw_error, slope, slope_error), parts = row(lifshitz._table_pass)
+        def by_parts(L, table, n, spec):
+            # the table route on a column of this one row
+            return [float(a[0]) for a in lifshitz._table_rows(np.array([L]), table, n, spec)]
+
+        (raw, raw_error, slope, slope_error), parts = row(by_parts)
         (direct_raw, direct_slope), direct = row(_direct_table_pass)
         assert abs(raw - direct_raw.value) <= raw_error + direct_raw.error
         assert abs(slope - direct_slope.value) <= slope_error + direct_slope.error
