@@ -39,14 +39,15 @@ full-kappa_1 row reads F(g) and a table's rows share the node passes.
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
 QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
 as one array, bisecting only the panels that miss their share of the
-tolerance.  The rows of a table column go through it together, each
-panel carrying its row and each row keeping its own tolerance and sums,
-so that every row has the bits it has alone (at the default tail cut,
-see ``_table_rows``).  The panels are graded toward the logarithmic
-point of I(u, 1) at u = 0, broken at a table's knots, where its
-integrand is only C^1, and cut into equal parts elsewhere, so c0 and c1
-take one pass of 585 nodes each.  QUADPACK itself only backs the
-independent oracle ``inner_integral_quadrature``.
+tolerance.  It takes a column of rows, of which c0, c1 and each F(g)
+piece are one-row columns; a table column's rows go through it together,
+each panel carrying its row and each row keeping its own tolerance and
+sums, so that every row has the bits it has alone (at the default tail
+cut, see ``_table_rows``) and a row with a non-finite value fails alone.
+The panels are graded toward the logarithmic point of I(u, 1) at u = 0,
+broken at a table's knots, where its integrand is only C^1, and cut into
+equal parts elsewhere, so c0 and c1 take one pass of 585 nodes each.
+QUADPACK itself only backs the independent oracle ``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
 is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table, at fixed
@@ -247,23 +248,14 @@ _ROUNDING = 1e-15
 _PASS_NODES = 8192
 
 
-def _integrate_panels(
-    integrand: Callable[..., np.ndarray],
-    breaks,
-    spec: QuadratureSpec,
-    column: bool = False,
-):
-    # The integral of integrand(u) over the panels between consecutive
-    # breakpoints, as a tuple of Estimates, or with ``column`` set, of each
-    # row of a column: ``breaks`` yields each row's breakpoints in turn,
-    # read no further than a row past the group being integrated, the
-    # integrand takes the nodes and each node's row, and the result is a
-    # list of the rows' tuples, from passes over groups of rows of at most
-    # _PASS_NODES nodes.  Each row gives the bits of its one-row call.
-    if not column:
-        edges = np.asarray(breaks, dtype=float)
-        (result,) = _panel_passes(lambda u, row: integrand(u), [edges], 0, spec)
-        return result
+def _integrate_panels(integrand: Callable[..., np.ndarray], breaks, spec: QuadratureSpec) -> list:
+    # The integrals of each row of a column over the panels between its
+    # consecutive breakpoints, as a list of the rows' tuples of Estimates:
+    # ``breaks`` yields each row's breakpoints in turn, read no further than
+    # a row past the group being integrated, and integrand(u, row) takes the
+    # nodes and each node's row.  The passes run over groups of rows of at
+    # most _PASS_NODES nodes, and each row gives the bits of its one-row
+    # column, which is how c0, c1 and each F(g) piece call it.
     results, group, nodes = [], [], 0
     for edges in breaks:
         size = _KRONROD_NODES.size * (len(edges) - 1)
@@ -290,7 +282,8 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
     # every row has the bits of its one-row call (a sum over several rows,
     # or over another memory layout, may add in another order).  After
     # floor(log2(max_subdivisions)) bisections a panel still failing fails
-    # its row, as does a non-finite integrand value; once every row has
+    # its row, as does a non-finite integrand value, whose row's panels pass
+    # as zeros so that no inf reaches the sums; once every row has
     # finished, the first failed row's QuadratureError is raised.
     rows = list(range(first, first + len(breaks)))  # of the pass, in order
     counts = [e.size - 1 for e in breaks]  # their panels
@@ -307,25 +300,19 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
         nodes = (lo + half)[:, None] + half[:, None] * _KRONROD_NODES
         values = integrand(nodes.ravel(), np.repeat(row, _KRONROD_NODES.size))
         values = values.reshape((-1, *nodes.shape))
+        ends = list(accumulate(counts))
+        starts = [0, *ends[:-1]]
+        broken = set()  # rows with a non-finite value, which fail below
         if not np.all(np.isfinite(values)):
-            bad = set(row[~np.all(np.isfinite(values), axis=(0, 2))].tolist())
-            for r in bad:
-                failures[r] = "integrand is not finite at a quadrature node"
-            keep = np.array([r not in bad for r in row.tolist()])
-            values = values[:, keep]
-            lo, hi, half, row = lo[keep], hi[keep], half[keep], row[keep]
-            counts = [c for r, c in zip(rows, counts) if r not in bad]
-            rows = [r for r in rows if r not in bad]
-            if not rows:
-                break
+            finite = np.logical_and.reduceat(np.isfinite(values).all(axis=(0, 2)), starts)
+            broken = set(np.compress(~finite, rows).tolist())
+            values = np.where(np.repeat(finite, counts)[:, None], values, 0.0)
         # (component, panel) sums, each panel's nodes summed in one order
         # whatever the stack holds
         kronrod = (values * _KRONROD_WEIGHTS).sum(axis=-1) * half
         gauss = (values[..., 1::2] * _GAUSS_WEIGHTS).sum(axis=-1) * half
         spread = np.abs(kronrod - gauss)
         panel_mass = (np.abs(values) * _KRONROD_WEIGHTS).sum(axis=-1) * half
-        ends = list(accumulate(counts))
-        starts = [0, *ends[:-1]]
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.stack([
             value[r] + kronrod[:, s:e].sum(axis=-1) for r, s, e in zip(rows, starts, ends)
         ], axis=-1)))
@@ -342,7 +329,9 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
             error[r] = error[r] + spread[:, own].sum(axis=-1)
             mass[r] = mass[r] + panel_mass[:, own].sum(axis=-1)
             bisected = e - s - (b - a)
-            if not bisected:
+            if r in broken:
+                failures[r] = "integrand is not finite at a quadrature node"
+            elif not bisected:
                 results[r] = tuple(map(Estimate, value[r].tolist(),
                                        (error[r] + _ROUNDING * mass[r]).tolist()))
             elif limit:
@@ -377,29 +366,28 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
 _GRADING = 2.0 ** -np.arange(21.0)
 
 
-def _graded_breaks(end: float, width: float, knots: np.ndarray = np.empty(0)):
-    # panel breaks on [0, end]: the grading, the knots inside the window
-    # (where a table's interpolant is only C^1, and flat past its ends), and
-    # equal parts of every gap wider than ``width``.  A gap of width 0, at a
-    # knot on 0, on a grading point or past the end (clipped onto it), gets
-    # no part, so np.unique (whose first call imports numpy.ma, 10 ms) is not
-    # needed.  Knots of shape (rows, K), none negative, give a list of each
-    # row's breaks.
-    rows = np.atleast_2d(knots)
+def _graded_breaks(end: float, width: float, knots: np.ndarray = np.empty((1, 0))) -> list:
+    # a list of each row's panel breaks on [0, end], for knots of shape
+    # (rows, K), none negative (by default one row with none): the grading,
+    # the row's knots inside the window (where a table's interpolant is only
+    # C^1, and flat past its ends), and equal parts of every gap wider than
+    # ``width``.  A gap of width 0, at a knot on 0, on a grading point or
+    # past the end (clipped onto it), gets no part, so np.unique (whose
+    # first call imports numpy.ma, 10 ms) is not needed; a wider one gets
+    # at least one, even where its ratio to ``width`` underflows.
     fixed = np.concatenate(((0.0, end), _GRADING[_GRADING < end]))
     edges = np.concatenate(
-        (np.repeat(fixed[None], len(rows), axis=0), np.minimum(rows, end)), axis=1
+        (np.repeat(fixed[None], len(knots), axis=0), np.minimum(knots, end)), axis=1
     )
     edges.sort(axis=1)
     widths = edges[:, 1:] - edges[:, :-1]
-    parts = np.ceil(widths / width).astype(int)
+    parts = np.maximum(np.ceil(widths / width), widths > 0.0).astype(int)
     ends = np.cumsum(parts.sum(axis=1)).tolist()
     widths, parts = widths.ravel(), parts.ravel()
     part = np.arange(ends[-1]) - np.repeat(np.cumsum(parts) - parts, parts)
     step = np.repeat(widths, parts) / np.repeat(parts, parts)
     lower = np.repeat(edges[:, :-1].ravel(), parts) + part * step
-    breaks = [np.append(lower[a:b], end) for a, b in zip([0, *ends], ends)]
-    return breaks if np.ndim(knots) == 2 else breaks[0]
+    return [np.append(lower[a:b], end) for a, b in zip([0, *ends], ends)]
 
 
 def _e0_tail_bound(u_max: float) -> float:
@@ -434,19 +422,19 @@ def _force_tail_bound(u_max: float) -> float:
 
 @cache
 def _e0_number(quad: QuadratureSpec) -> Estimate:
-    # c0 = int_0^inf I(u, 1) du
+    # c0 = int_0^inf I(u, 1) du, a one-row column
     breaks = _graded_breaks(quad.u_max, 1.0)
-    (raw,) = _integrate_panels(lambda u: inner_integral(u, 1.0)[None], breaks, quad)
+    ((raw,),) = _integrate_panels(lambda u, row: inner_integral(u, 1.0)[None], breaks, quad)
     return Estimate(raw.value, raw.error + _e0_tail_bound(quad.u_max))
 
 
 @cache
 def _delta_number(quad: QuadratureSpec) -> Estimate:
     # c1 = int_0^inf u^4 log(1 - e^(-2u)) du; every node lies inside (0, u_max]
-    def integrand(u: np.ndarray) -> np.ndarray:
+    def integrand(u: np.ndarray, row: np.ndarray) -> np.ndarray:
         return (u**4 * log_one_minus_exp(2.0 * u))[None]
 
-    (raw,) = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
+    ((raw,),) = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
     return Estimate(raw.value, raw.error + _delta_tail_bound(quad.u_max))
 
 
@@ -526,7 +514,7 @@ def _full_samples(
     peak = 3.0 * g * u_max * u_max > 1.0
     U = np.where(peak, 1.0 / np.sqrt(3.0 * g), u_max)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, row: np.ndarray) -> np.ndarray:
         u = U[:, None] * s
         x = u - g[:, None] * u**3
         # one polylogarithm pass over both lower limits
@@ -534,8 +522,8 @@ def _full_samples(
         energy = (both[: x.size] - both[x.size :]).reshape(x.shape)
         return np.concatenate((energy, u**3 * x * log_one_minus_exp(2.0 * x)))
 
-    # parts 1/16 wide in s are about 1 wide in u where U = u_max
-    estimates = _integrate_panels(integrand, _graded_breaks(1.0, 1.0 / 16.0), quad)
+    # one row of stacked samples; parts 1/16 wide in s are about 1 wide in u where U = u_max
+    (estimates,) = _integrate_panels(integrand, _graded_breaks(1.0, 1.0 / 16.0), quad)
     value = np.array([e.value for e in estimates]).reshape(2, -1) * U
     error = np.array([e.error for e in estimates]).reshape(2, -1) * U
     end, start = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
@@ -645,14 +633,6 @@ def _window_tail_bound(g: float, u_max: float, u_t: float) -> tuple[float, float
     return min(g * quartic, linear), quartic + edge
 
 
-def _per_row(numbers: Callable[..., tuple], column, *args) -> tuple:
-    # numbers(row, *args), a tuple of numbers, for a float, or for each row
-    # of an array as a tuple of arrays, each of its numbers' own type
-    if isinstance(column, np.ndarray):
-        return tuple(map(np.array, zip(*(numbers(x, *args) for x in column.tolist()))))
-    return numbers(column, *args)
-
-
 def _full_kappa1(L, model: DispersionModel, quad: QuadratureSpec) -> tuple:
     # (delta_e, its share of the force, whether the window ended at the
     # peak, the model error) of a row, or arrays of them over a column.
@@ -662,7 +642,9 @@ def _full_kappa1(L, model: DispersionModel, quad: QuadratureSpec) -> tuple:
     _check_positive(L)
     n0, n1 = cauchy_coefficients(model)
     g = n1 / (n0**3 * _power(L, 2))
-    raw, raw_error, slope, slope_error, dropped, peak = _per_row(_full_row, g, quad)
+    rows = [_full_row(x, quad) for x in np.atleast_1d(g).tolist()]
+    numbers = map(np.array, zip(*rows)) if isinstance(g, np.ndarray) else rows[0]
+    raw, raw_error, slope, slope_error, dropped, peak = numbers
     scale = 1.0 / (_TWO_PI_SQ * n0 * _power(L, 3))
     shift = Estimate(
         (3.0 * raw + 2.0 * g * slope) * scale / L,
@@ -750,7 +732,7 @@ def _table_rows(L: np.ndarray, model: Tabulated, n: float, quad: QuadratureSpec)
         for start in range(0, L.size, block)
         for row_breaks in _graded_breaks(u_max, 1.0, np.outer(scale[start:start + block], knots))
     )
-    rows = _integrate_panels(integrand, breaks, quad, column=True)
+    rows = _integrate_panels(integrand, breaks, quad)
     parts, parts_error, square, square_error = np.array(
         [(p.value, p.error, q.value, q.error) for p, q in rows]
     ).T

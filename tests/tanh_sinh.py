@@ -1,9 +1,10 @@
 """Tanh-sinh quadrature (Takahashi & Mori 1974): a second node rule for tests.
 
-``integrate`` takes the arguments of ``casdisp.lifshitz._integrate_panels``
-and gives results of the same shapes, so a test can put it in the panel
-rule's place and compare the two rules on the same integrand and breaks.
-A column's rows integrate one at a time.
+``integrate`` takes the arguments of ``casdisp.lifshitz._integrate_panels``,
+a column of rows' breakpoints and an integrand of the nodes and their row,
+and gives a list of each row's tuple of Estimates, so a test can put it in
+the panel rule's place and compare the two rules on the same integrand and
+breaks.  The rows integrate one at a time.
 """
 
 import math
@@ -17,12 +18,14 @@ from casdisp.lifshitz import _ROUNDING, Estimate, QuadratureError
 _T_MAX = 3.25
 
 
-def integrate(integrand, breaks, spec, column=False):
-    if column:
-        return [
-            integrate(lambda u, r=r: integrand(u, np.full(u.shape, r)), row_breaks, spec)
-            for r, row_breaks in enumerate(breaks)
-        ]
+def integrate(integrand, breaks, spec):
+    return [
+        _row(lambda u, r=r: integrand(u, np.full(u.shape, r)), row_breaks, spec)
+        for r, row_breaks in enumerate(breaks)
+    ]
+
+
+def _row(integrand, breaks, spec):
     # On a panel [a, b] of half-width d, the step t maps to the nodes
     # a + d*e(t) and b - d*e(t), with e(t) = 1 - tanh(pi/2*sinh t) written
     # so that it keeps its digits near the ends, and weight

@@ -160,7 +160,8 @@ class TestRowsMatchFloatCalls:
         ladder = 2.0 * 1.25 ** np.arange(24)
         knots = min(model.n) * np.asarray(model.xi)
         nodes = accumulate(
-            15 * (lifshitz._graded_breaks(quad.u_max, 1.0, x * knots).size - 1) for x in ladder
+            15 * (lifshitz._graded_breaks(quad.u_max, 1.0, x * knots[None])[0].size - 1)
+            for x in ladder
         )
         past_cap = 1 + next(k for k, total in enumerate(nodes) if total > lifshitz._PASS_NODES)
         L = ladder[: past_cap if rows == "past-cap" else rows]
@@ -182,6 +183,59 @@ class TestRowsMatchFloatCalls:
             for x in L
         ]
         _assert_rows_match(column, scalars)
+
+    def test_a_row_past_the_cap_takes_its_passes_alone(self, monkeypatch):
+        # on 1,000 knots the row at L = 0.5 alone holds more first-pass nodes
+        # than one group takes, so each row of the column is a group of its own
+        xi = [40.0 * (k / 999) ** 2 for k in range(1000)]
+        model = Tabulated(tuple(xi), tuple(math.sqrt(1.0 + 2.0 / (1.0 + x * x)) for x in xi))
+        L = np.array([4.0, 0.5, 4.0])
+        groups = []
+        passes = lifshitz._panel_passes
+
+        def counted(integrand, breaks, first, spec):
+            groups.append([15 * (e.size - 1) for e in breaks])
+            return passes(integrand, breaks, first, spec)
+
+        monkeypatch.setattr(lifshitz, "_panel_passes", counted)
+        column = lifshitz_rows(L, model, None, DEFAULT_QUADRATURE, Mode.FULL_KAPPA1)
+        assert [len(group) for group in groups] == [1, 1, 1]
+        assert groups[1][0] > lifshitz._PASS_NODES
+        monkeypatch.undo()
+        _assert_rows_match(column, [total_energy_lifshitz(Scenario(x, model), mode=Mode.FULL_KAPPA1)
+                                    for x in L.tolist()])
+
+    def test_breaks_are_read_a_row_past_the_group(self, monkeypatch):
+        # _integrate_panels draws a row's breaks only once the rows before it
+        # are grouped: each group starts its passes with at most the next
+        # row drawn, and each row gives the bits of its one-row column
+        panels = [100, 300, 600, 50, 500, 10]  # 15 nodes a panel
+        drawn = []
+
+        def rows():
+            for count in panels:
+                drawn.append(count)
+                yield np.linspace(0.0, 1.0, count + 1)
+
+        entries = []
+        passes = lifshitz._panel_passes
+
+        def counted(integrand, breaks, first, spec):
+            entries.append((first, len(breaks), len(drawn)))
+            return passes(integrand, breaks, first, spec)
+
+        def integrand(u, row):
+            return np.exp(-u * (1.0 + row))[None]
+
+        monkeypatch.setattr(lifshitz, "_panel_passes", counted)
+        column = lifshitz._integrate_panels(integrand, rows(), DEFAULT_QUADRATURE)
+        assert entries == [(0, 2, 3), (2, 1, 4), (3, 1, 5), (4, 2, 6)]
+        for r, count in enumerate(panels):
+            (alone,) = lifshitz._integrate_panels(
+                lambda u, row: integrand(u, row + r), [np.linspace(0.0, 1.0, count + 1)],
+                DEFAULT_QUADRATURE,
+            )
+            assert repr(column[r]) == repr(alone)
 
     def test_table_column_fails_as_its_first_failing_row(self):
         # Alone, L = 0.03 converges and L = 0.5 and 4 fail, each with its

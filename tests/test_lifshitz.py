@@ -305,16 +305,15 @@ class TestScaleFreeSplit:
 
 
 def _count_passes(monkeypatch, passes: list) -> None:
-    # record the node count of every pass of lifshitz._integrate_panels, in
-    # its one-row form or over a column of rows
+    # record the node count of every pass of lifshitz._integrate_panels
     rule = lifshitz._integrate_panels
 
-    def counting(integrand, breaks, spec, column=False):
-        def counted(u, *row):
+    def counting(integrand, breaks, spec):
+        def counted(u, row):
             passes.append(u.size)
-            return integrand(u, *row)
+            return integrand(u, row)
 
-        return rule(counted, breaks, spec, column=column)
+        return rule(counted, breaks, spec)
 
     monkeypatch.setattr(lifshitz, "_integrate_panels", counting)
 
@@ -482,8 +481,8 @@ class TestNodeRule:
 
 class TestPanelRule:
     def test_smooth_integral_over_panels(self):
-        (estimate,) = _integrate_panels(
-            lambda u: np.exp(u)[None], (0.0, 0.3, 1.0, 1.5, 2.0), QuadratureSpec()
+        ((estimate,),) = _integrate_panels(
+            lambda u, row: np.exp(u)[None], [(0.0, 0.3, 1.0, 1.5, 2.0)], QuadratureSpec()
         )
         exact = math.expm1(2.0)
         assert abs(estimate.value - exact) <= 1e-15 * exact
@@ -502,12 +501,12 @@ class TestPanelRule:
             passes = []
             with monkeypatch.context() as patch:
                 _count_passes(patch, passes)
-                result = lifshitz._integrate_panels(integrand, (0.0, 1.0, 2.0), spec)
+                (result,) = lifshitz._integrate_panels(integrand, [(0.0, 1.0, 2.0)], spec)
             return result, len(passes)
 
-        (easy, hard), stacked = passes_of(lambda u: np.stack((np.exp(u), peaked(u))))
-        (alone,), peaked_passes = passes_of(lambda u: peaked(u)[None])
-        assert passes_of(lambda u: np.exp(u)[None])[1] == 1
+        (easy, hard), stacked = passes_of(lambda u, row: np.stack((np.exp(u), peaked(u))))
+        (alone,), peaked_passes = passes_of(lambda u, row: peaked(u)[None])
+        assert passes_of(lambda u, row: np.exp(u)[None])[1] == 1
         assert stacked == peaked_passes > 1
         assert hard == alone
         assert abs(easy.value - math.expm1(2.0)) <= easy.error
@@ -515,25 +514,81 @@ class TestPanelRule:
         assert abs(hard.value - exact) <= hard.error
         assert hard.error <= 1e-9 * exact
 
-    def test_non_finite_integrand_raises(self):
+    # an inf that reached the panels' sums would warn, as inf - inf is nan
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(QuadratureError):
-            _integrate_panels(lambda u: np.full_like(u, np.nan), (0.0, 1.0), QuadratureSpec())
+            _integrate_panels(lambda u, row: np.full_like(u, bad), [(0.0, 1.0)], QuadratureSpec())
 
-    def test_a_column_fails_as_its_first_failing_row(self):
-        # one row uses up its bisections and the other is not finite at its
-        # first pass; a loop over the rows would meet the first row's failure
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_column_fails_as_its_first_failing_row(self, monkeypatch):
+        # a "wave" row uses up its bisections, a "nan" row is not finite at
+        # its first pass, and a "late" row is finite at its first pass's
+        # nodes but infinite at those its bisected panel's halves carry, so
+        # it fails in its second pass; a loop over the rows would meet the
+        # first row's failure
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-30, max_subdivisions=10)
+        first_nodes = 10.0 + 10.0 * lifshitz._KRONROD_NODES
+        passes = []
+        _count_passes(monkeypatch, passes)
 
-        def column(bad_row):
+        def column(*kinds):
             def integrand(u, row):
-                return np.where(row == bad_row, np.nan, np.sin(1e6 * u * u))[None]
+                wave = np.sin(1e6 * u * u)
+                late = np.where(np.isin(u, first_nodes), wave, np.inf)
+                kind = np.array(kinds)[row]
+                return np.select([kind == "nan", kind == "late"], [np.nan, late], wave)[None]
 
-            _integrate_panels(integrand, [(0.0, 20.0), (0.0, 20.0)], spec, column=True)
+            lifshitz._integrate_panels(integrand, [(0.0, 20.0)] * len(kinds), spec)
 
-        with pytest.raises(QuadratureError, match="after 3 bisections"):
-            column(1)
         with pytest.raises(QuadratureError, match="not finite"):
-            column(0)
+            column("late")
+        assert passes == [15, 30]
+        with pytest.raises(QuadratureError, match="after 3 bisections"):
+            column("wave", "nan", "late")
+        with pytest.raises(QuadratureError, match="not finite"):
+            column("nan", "wave", "late")
+        with pytest.raises(QuadratureError, match="after 3 bisections"):
+            column("wave", "late")
+        with pytest.raises(QuadratureError, match="not finite"):
+            column("late", "wave")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_graded_breaks_of_rows(self, data):
+        # a (rows, K) call gives each row its own (1, K) call's breaks, which
+        # run from 0 to end, strictly increasing, no gap wider than width
+        # but for the rounding of the parts' points (an ulp or two of end);
+        # knots on 0, on grading points, on and past the end, and repeats,
+        # leave gaps of width 0 between the sorted edges
+        end = data.draw(st.one_of(
+            st.sampled_from([2.0**-20, 0.5, 1.0, 18.420680743952367]),
+            st.floats(min_value=1e-7, max_value=60.0),
+        ))
+        width = data.draw(st.one_of(st.sampled_from([1.0 / 16.0, 1.0]),
+                                    st.floats(min_value=1e-3, max_value=4.0)))
+        pool = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from([0.0, end, *lifshitz._GRADING.tolist()]),
+                st.floats(min_value=0.0, max_value=2.0 * end),
+            ),
+            min_size=1, max_size=8,
+        ))
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        K = data.draw(st.integers(min_value=0, max_value=12))
+        knots = np.array(data.draw(st.lists(
+            st.sampled_from(pool), min_size=rows * K, max_size=rows * K
+        ))).reshape(rows, K)
+        breaks = lifshitz._graded_breaks(end, width, knots)
+        assert len(breaks) == rows
+        for r, row_breaks in enumerate(breaks):
+            (alone,) = lifshitz._graded_breaks(end, width, knots[r:r + 1])
+            assert row_breaks.tolist() == alone.tolist()
+            assert row_breaks[0] == 0.0 and row_breaks[-1] == end
+            gaps = np.diff(row_breaks)
+            assert np.all(gaps > 0.0)
+            assert np.all(gaps <= width + 4.0 * np.spacing(end))
 
     def test_unresolved_oscillation_uses_up_the_bisections(self, monkeypatch):
         # max_subdivisions 10 allows floor(log2 10) = 3 bisections: four
@@ -542,7 +597,7 @@ class TestPanelRule:
         passes = []
         _count_passes(monkeypatch, passes)
         with pytest.raises(QuadratureError, match="after 3 bisections"):
-            lifshitz._integrate_panels(lambda x: np.sin(1e6 * x * x), (0.0, 20.0), spec)
+            lifshitz._integrate_panels(lambda x, row: np.sin(1e6 * x * x), [(0.0, 20.0)], spec)
         assert passes == [15, 30, 60, 120]
 
     def test_tabulated_rows_agree_with_tanh_sinh(self, monkeypatch):
@@ -606,13 +661,13 @@ def _direct_table_pass(L: float, model: Tabulated, n: float, spec: QuadratureSpe
     # term u_max*I(x(u_max), 1); the errors add the same tail bounds.
     u_max = spec.u_max
 
-    def integrand(u):
+    def integrand(u, row):
         x = kappa_lower(model, u / (n * L)) * L
         inner = inner_integral(x, 1.0)
         return np.stack((inner, -(x * x) * log_one_minus_exp(2.0 * x) - 2.0 * inner))
 
-    breaks = lifshitz._graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi))
-    raw, slope = lifshitz._integrate_panels(integrand, breaks, spec)
+    breaks = lifshitz._graded_breaks(u_max, 1.0, n * L * np.asarray(model.xi)[None])
+    ((raw, slope),) = lifshitz._integrate_panels(integrand, breaks, spec)
     edge = u_max * inner_integral(kappa_lower(model, u_max / (n * L)) * L, 1.0)
     return (Estimate(raw.value, raw.error + lifshitz._e0_tail_bound(u_max)),
             Estimate(slope.value - edge, slope.error + lifshitz._force_tail_bound(u_max)))
