@@ -13,9 +13,10 @@ model is trusted only where L > ``min_separation`` = 2*pi*sqrt(n1).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -108,14 +109,17 @@ class Tabulated:
         # d + c*s + b*s^2 + a*s^3 in s = xi - xi_k, with (a, b, c, d)
         # column k of ``cubics``; summed in that order, as scipy's PPoly
         # does, the values are scipy's to the last bit; from the last knot
-        # on, the flat last column (0, 0, 0, n[-1])
+        # on, the flat last column (0, 0, 0, n[-1]); read-only, as one table
+        # serves every load of its file's bytes
         x, y = np.asarray(self.xi), np.asarray(self.n)
         h = np.diff(x)
         m = np.diff(y) / h
         slope = _pchip_slopes(h, m)
         t = (slope[:-1] + slope[1:] - 2.0 * m) / h
         cubics = np.stack((t / h, (m - slope[:-1]) / h - t, slope[:-1], y[:-1]))
-        return x, np.column_stack((cubics, (0.0, 0.0, 0.0, y[-1])))
+        cubics = np.column_stack((cubics, (0.0, 0.0, 0.0, y[-1])))
+        x.flags.writeable = cubics.flags.writeable = False
+        return x, cubics
 
     def index_at(self, xi):
         """n(i*xi) at a scalar (giving a float) or an array of frequencies."""
@@ -231,11 +235,29 @@ def load_index_table(path) -> Tabulated:
     number, so a typo in a headerless table's first sample is an error, not
     a lost sample.  A leading UTF-8 byte-order mark is dropped, so it never
     turns the first sample into a header.
+
+    Each distinct content is parsed, checked and interpolated once per
+    process: up to 128 tables are kept, keyed on the file's bytes, and every
+    load of the same bytes, from any path, returns one shared, immutable table.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return _parse_index_table(data)
+    except UnicodeDecodeError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+@lru_cache
+def _parse_index_table(data: bytes) -> Tabulated:
+    # decoded as a text file is, so a decode error keeps its position in
+    # the 8 KiB chunk; load_index_table names the path in the other errors
     xi: list[float] = []
     n: list[float] = []
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as text:
+        for lineno, row in enumerate(csv.reader(text), start=1):
             try:
                 x, v = float(row[0]), float(row[1])
             except (IndexError, ValueError):
@@ -244,15 +266,10 @@ def load_index_table(path) -> Tabulated:
                 if all(not cell.strip() for cell in row):
                     continue
                 if len(row) < 2:
-                    raise ValueError(f"{path}: line {lineno}: expected two columns") from None
+                    raise ValueError(f"line {lineno}: expected two columns") from None
                 if lineno == 1 and not any(map(_is_number, row[:2])):
                     continue
-                raise ValueError(
-                    f"{path}: line {lineno}: could not parse {row[:2]!r}"
-                ) from None
+                raise ValueError(f"line {lineno}: could not parse {row[:2]!r}") from None
             xi.append(x)
             n.append(v)
-    try:
-        return Tabulated(tuple(xi), tuple(n))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return Tabulated(tuple(xi), tuple(n))

@@ -23,7 +23,7 @@ from casdisp.closed_form import Scenario, total_energy_analytic
 from casdisp.dispersion import Cauchy, min_separation
 from casdisp.lifshitz import Mode, QuadratureError, total_energy_lifshitz
 from test_columns import _log_uniform
-from test_golden import GOLDEN, SHAPES
+from test_golden import GOLDEN, SHAPES, run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -178,6 +178,33 @@ class TestCompute:
         )
         assert code == 4
         assert "error" in err
+
+    @pytest.mark.parametrize("at, position", [(4, 4), (10_000, 1808)], ids=["first-line", "late"])
+    def test_undecodable_table_exits_2(self, capsys, tmp_path, at, position):
+        # 0xff at byte ``at`` of the file; past the first 8 KiB the position
+        # counts from the start of the 8 KiB chunk being decoded
+        rows = b"xi,n\n" + b"".join(b"%d,1.5\n" % k for k in range(2000))
+        table = tmp_path / "n.csv"
+        table.write_bytes(rows[:at] + b"\xff" + rows[at + 1:])
+        code, out, err = run_cli(
+            capsys, "compute", "--L", "1", "--ns-table", str(table),
+            "--method", "lifshitz", "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: 'utf-8' codec can't decode byte 0xff in position {position}: "
+            "invalid start byte\n"
+        )
+
+    def test_table_rewritten_in_place_prints_its_new_rows(self, tmp_path):
+        # one path, two tables in turn: each sweep prints its own golden rows
+        table = tmp_path / "n.csv"
+        for name, source in [("sweep-table-csv", "drude.csv"), ("sweep-table200-csv", "drude200.csv")]:
+            table.write_bytes((GOLDEN / source).read_bytes())
+            argv = [arg.replace(f"{{golden}}/{source}", str(table)) for arg in SHAPES[name]]
+            assert str(table) in argv
+            expected = json.loads((GOLDEN / f"{name}.json").read_text())
+            assert run(argv) == {key: expected[key] for key in ("exit", "stdout", "stderr")}
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(

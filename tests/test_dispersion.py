@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -326,3 +327,51 @@ class TestLoadIndexTable:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_index_table(tmp_path / "absent.csv")
+
+    def test_same_bytes_at_two_paths_give_one_table(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        for path in (first, second):
+            path.write_text("xi,n\n0.0,1.5\n1.0,1.4\n2.5,1.2\n")
+        table = load_index_table(first)
+        assert load_index_table(second) is table
+        assert table == Tabulated((0.0, 1.0, 2.5), (1.5, 1.4, 1.2))
+
+    def test_table_rewritten_in_place_is_read_again(self, tmp_path):
+        # same length and modification time: only the bytes differ
+        path = tmp_path / "index.csv"
+        path.write_text("xi,n\n0.0,1.5\n1.0,1.4\n")
+        assert load_index_table(path).n == (1.5, 1.4)
+        before = os.stat(path)
+        path.write_text("xi,n\n0.0,1.7\n1.0,1.3\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_index_table(path).n == (1.7, 1.3)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,1.5\noops,1.4\n", "line 3: could not parse ['oops', '1.4']"),
+            ("0,1.5\n2,1.4\n1,1.3\n", "frequency samples must be strictly increasing"),
+        ],
+        ids=["parse", "samples"],
+    )
+    def test_errors_name_the_path_of_every_load(self, tmp_path, rows, message):
+        # errors are not kept: the same bad bytes fail again, under each path
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        for path in (first, second):
+            path.write_text("xi,n\n" + rows)
+        for path in (first, first, second):
+            with pytest.raises(ValueError) as caught:
+                load_index_table(path)
+            assert str(caught.value) == f"{path}: {message}"
+
+    def test_shared_interpolator_is_read_only(self, tmp_path):
+        path = tmp_path / "index.csv"
+        path.write_text("xi,n\n0.0,1.5\n1.0,1.4\n2.5,1.2\n")
+        knots, cubics = load_index_table(path)._interpolator
+        with pytest.raises(ValueError, match="read-only"):
+            knots[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            cubics[3, 0] = 1.0
+        assert load_index_table(path).index_at(0.0) == 1.5
