@@ -136,13 +136,9 @@ class Tabulated:
         k = np.searchsorted(knots[1:], clipped, side="right")
         s = clipped - knots.take(k)
         s2 = s * s
-        a, b, c = (row.take(k) for row in cubics[:3])
-        # accumulated into one array, so fewer node-sized temporaries are
-        # alive at once; (c*s) + d is d + c*s to the bit
-        value = c * s
-        value += cubics[3].take(k)
-        value += b * s2
-        value += a * (s2 * s)
+        a, b, c, d = cubics.take(k, axis=1)
+        # (c*s) + d is d + c*s to the bit
+        value = c * s + d + b * s2 + a * (s2 * s)
         return value, np.where(xi < knots[0], 0.0, c + s * (2.0 * b + 3.0 * a * s))
 
 

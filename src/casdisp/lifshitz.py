@@ -39,12 +39,13 @@ full-kappa_1 row reads F(g) and a table's rows share the node passes.
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
 QUADPACK (Piessens et al. 1983) on panels, all nodes of a pass evaluated
 as one array, bisecting only the panels that miss their share of the
-tolerance.  It takes a column of rows, of which c0, c1 and each F(g)
-piece are one-row columns; a table column's rows go through it together,
-each panel carrying its row and each row keeping its own tolerance and
-sums, so that every row has the bits it has alone (at the default tail
-cut, see ``_table_rows``) and a row with a non-finite value fails alone.
-The panels are graded toward the logarithmic point of I(u, 1) at u = 0,
+tolerance by more than their nodes' rounding.  It takes a column of rows
+(c0, c1 and each F(g) piece are one-row columns) and gives their values
+and errors as arrays; a table column's rows go through it together, each
+panel carrying its row and each row keeping its own tolerance and sums,
+so that every row has the bits it has alone (at the default tail cut,
+see ``_table_rows``) and a row with a non-finite value fails alone.  The
+panels are graded toward the logarithmic point of I(u, 1) at u = 0,
 broken at a table's knots, where its integrand is only C^1, and cut into
 equal parts elsewhere, so c0 and c1 take one pass of 585 nodes each.
 QUADPACK itself only backs the independent oracle ``inner_integral_quadrature``.
@@ -248,9 +249,9 @@ _ROUNDING = 1e-15
 _PASS_NODES = 8192
 
 
-def _integrate_panels(integrand: Callable[..., np.ndarray], breaks, spec: QuadratureSpec) -> list:
+def _integrate_panels(integrand: Callable[..., np.ndarray], breaks, spec: QuadratureSpec) -> tuple:
     # The integrals of each row of a column over the panels between its
-    # consecutive breakpoints, as a list of the rows' tuples of Estimates:
+    # consecutive breakpoints, as (values, errors), two (rows, k) arrays:
     # ``breaks`` yields each row's breakpoints in turn, read no further than
     # a row past the group being integrated, and integrand(u, row) takes the
     # nodes and each node's row.  The passes run over groups of rows of at
@@ -264,7 +265,8 @@ def _integrate_panels(integrand: Callable[..., np.ndarray], breaks, spec: Quadra
             group, nodes = [], 0
         group.append(np.asarray(edges, dtype=float))
         nodes += size
-    return results + _panel_passes(integrand, group, len(results), spec)
+    results += _panel_passes(integrand, group, len(results), spec)
+    return tuple(np.array(part) for part in zip(*results))
 
 
 def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> list:
@@ -272,11 +274,12 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
     # rows first, first + 1, ...: every panel carries its row, and all
     # panels' nodes go through the integrand as one array per pass.  The
     # integrand gives a (k, nodes) stack of k integrands sharing the nodes,
-    # and each row's result is a tuple of k Estimates.  A panel's error is
-    # |K15 - G7|; a panel whose error exceeds its width's share of its row's
-    # max(abs_tol, rel_tol*|value|) in any component is bisected, and only
-    # its halves make the next pass.  A row's estimate is the sum of its
-    # panels' errors plus the rounding floor.  Each row's panels stay one
+    # and each row's result is a pair of (k,) arrays, its values and errors.
+    # A panel's error is |K15 - G7|; a panel whose error exceeds its width's
+    # share of its row's max(abs_tol, rel_tol*|value|) in any component, and
+    # the rounding of its own nodes there too, is bisected, and only its
+    # halves make the next pass.  A row's estimate is the sum of its panels'
+    # errors plus the rounding of the sum.  Each row's panels stay one
     # run, in the order they would have alone, and each of its sums indexes
     # and reduces that run as its one-row call does its whole arrays, so
     # every row has the bits of its one-row call (a sum over several rows,
@@ -317,7 +320,13 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
             value[r] + kronrod[:, s:e].sum(axis=-1) for r, s, e in zip(rows, starts, ends)
         ], axis=-1)))
         share = 2.0 * half / np.repeat([span[r] for r in rows], counts)
-        failing = np.any(spread > np.repeat(target, counts, axis=-1) * share, axis=0)
+        over = spread > np.repeat(target, counts, axis=-1) * share
+        if over.any():
+            # a node's abscissa rounds by about eps*|hi|: a spread within
+            # 8*eps*|hi|*max|dv/du|*(hi - lo), du = half*dt apart, is that noise
+            steep = (np.abs(np.diff(values, axis=-1)) / np.diff(_KRONROD_NODES)).max(axis=-1)
+            over &= spread > 16.0 * np.finfo(float).eps * np.abs(hi) * steep
+        failing = np.any(over, axis=0)
         kept = np.flatnonzero(~failing)
         cuts = np.searchsorted(kept, ends).tolist()
         limit = 2 ** (bisections + 1) > spec.max_subdivisions
@@ -332,8 +341,7 @@ def _panel_passes(integrand, breaks: list, first: int, spec: QuadratureSpec) -> 
             if r in broken:
                 failures[r] = "integrand is not finite at a quadrature node"
             elif not bisected:
-                results[r] = tuple(map(Estimate, value[r].tolist(),
-                                       (error[r] + _ROUNDING * mass[r]).tolist()))
+                results[r] = value[r], error[r] + _ROUNDING * mass[r]
             elif limit:
                 failures[r] = (
                     f"panel rule did not converge after {bisections} bisections "
@@ -424,8 +432,8 @@ def _force_tail_bound(u_max: float) -> float:
 def _e0_number(quad: QuadratureSpec) -> Estimate:
     # c0 = int_0^inf I(u, 1) du, a one-row column
     breaks = _graded_breaks(quad.u_max, 1.0)
-    ((raw,),) = _integrate_panels(lambda u, row: inner_integral(u, 1.0)[None], breaks, quad)
-    return Estimate(raw.value, raw.error + _e0_tail_bound(quad.u_max))
+    value, error = _integrate_panels(lambda u, row: inner_integral(u, 1.0)[None], breaks, quad)
+    return Estimate(value.item(), error.item() + _e0_tail_bound(quad.u_max))
 
 
 @cache
@@ -434,8 +442,8 @@ def _delta_number(quad: QuadratureSpec) -> Estimate:
     def integrand(u: np.ndarray, row: np.ndarray) -> np.ndarray:
         return (u**4 * log_one_minus_exp(2.0 * u))[None]
 
-    ((raw,),) = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
-    return Estimate(raw.value, raw.error + _delta_tail_bound(quad.u_max))
+    value, error = _integrate_panels(integrand, _graded_breaks(quad.u_max, 1.0), quad)
+    return Estimate(value.item(), error.item() + _delta_tail_bound(quad.u_max))
 
 
 def _scaled(number: Estimate, scale: float) -> Estimate:
@@ -523,9 +531,8 @@ def _full_samples(
         return np.concatenate((energy, u**3 * x * log_one_minus_exp(2.0 * x)))
 
     # one row of stacked samples; parts 1/16 wide in s are about 1 wide in u where U = u_max
-    (estimates,) = _integrate_panels(integrand, _graded_breaks(1.0, 1.0 / 16.0), quad)
-    value = np.array([e.value for e in estimates]).reshape(2, -1) * U
-    error = np.array([e.error for e in estimates]).reshape(2, -1) * U
+    value, error = (a.reshape(2, -1) * U for a in _integrate_panels(
+        integrand, _graded_breaks(1.0, 1.0 / 16.0), quad))
     end, start = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
     slope = value[1] - np.where(peak, 1.5 * U**3 * (end - start), 0.0)
     # the differences round on the scale of I(u, 1), whose integral is c0
@@ -684,41 +691,32 @@ def _full_row(g: float, quad: QuadratureSpec) -> tuple[float, float, float, floa
             dropped, peak)
 
 
-def _tabulated_full(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
-    # (energy, force) of a row, or arrays of them over a column: the force
-    # is -[int G(x) du - u_max*I(x(u_max), 1)]/(2*pi^2*n*L^4)
-    n = min(model.n)
-    numbers = _table_rows(np.atleast_1d(L), model, n, quad)
-    if not isinstance(L, np.ndarray):
-        numbers = [float(a[0]) for a in numbers]
-    raw, raw_error, slope, slope_error = numbers
-    scale = 1.0 / (_TWO_PI_SQ * n * _power(L, 3))
-    energy = _scaled(Estimate(raw, raw_error), scale)
-    return energy, _scaled(Estimate(slope, slope_error), -scale / L)
-
-
-def _table_rows(L: np.ndarray, model: Tabulated, n: float, quad: QuadratureSpec) -> tuple:
-    # each row's two integrals and their errors, by parts, as arrays over
-    # the column L.  With f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and
+def _table_rows(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
+    # (energy, force) of a row, or arrays of them over a column, by parts.
+    # With f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and
     # x(u) = kappa_1*L is C^1 (PCHIP, flat past the table's ends), monotone
-    # or not, so on [0, U]
+    # or not, so on [0, U], U = u_max,
     #   int I(x, 1) du = U*I(x(U), 1) + int u*f(x)*x'(u) du
     #   int G(x) du - U*I(x(U), 1) = -int x*f(x) du - 2*int I(x, 1) du - U*I(x(U), 1)
     # from node passes over [u*f*x', x*f] that the rows share; Li_2 and
     # Li_3 run once, at every row's U.  Every node has u > 0, so x >= u > 0.
-    # The polylogarithm series takes as many terms as the column's largest
-    # e^(-2x(U)) needs.  At the default tail cut, x(U) >= u_max makes that
-    # one or two terms, which give every row its one-row bits; past a tail
-    # cut of about 1e-16 a row's end term can differ from its one-row call
-    # in the last bit (about 1 in 16,000 in random trials).
+    # The energy is the first over 2*pi^2*n*L^3, with n the smallest index,
+    # and the force -(the second)/(2*pi^2*n*L^4).  The polylogarithm series
+    # takes as many terms as the column's largest e^(-2x(U)) needs.  At the
+    # default tail cut, x(U) >= u_max makes that one or two terms, which
+    # give every row its one-row bits; past a tail cut of about 1e-16 a
+    # row's end term can differ from its one-row call in the last bit
+    # (about 1 in 16,000 in random trials).
     u_max = quad.u_max
-    scale = n * L
-    edge = u_max * inner_integral(kappa_lower(model, u_max / scale) * L, 1.0)
+    n = min(model.n)
+    column = np.atleast_1d(L)
+    scale = n * column
+    edge = u_max * inner_integral(kappa_lower(model, u_max / scale) * column, 1.0)
 
     def integrand(u: np.ndarray, row: np.ndarray) -> np.ndarray:
         xi = u / scale[row]
         index, slope = model._index_and_slope(xi)
-        x = index * xi * L[row]
+        x = index * xi * column[row]
         f = x * log_one_minus_exp(2.0 * x)
         # x'(u) = (n(xi) + xi*n'(xi))/n
         return np.stack((u * f * (index + xi * slope) / n, x * f))
@@ -729,16 +727,19 @@ def _table_rows(L: np.ndarray, model: Tabulated, n: float, quad: QuadratureSpec)
     block = max(1, _PASS_NODES // (knots.size + _GRADING.size))
     breaks = (
         row_breaks
-        for start in range(0, L.size, block)
+        for start in range(0, column.size, block)
         for row_breaks in _graded_breaks(u_max, 1.0, np.outer(scale[start:start + block], knots))
     )
-    rows = _integrate_panels(integrand, breaks, quad)
-    parts, parts_error, square, square_error = np.array(
-        [(p.value, p.error, q.value, q.error) for p, q in rows]
-    ).T
+    (parts, square), (parts_error, square_error) = (a.T for a in _integrate_panels(
+        integrand, breaks, quad))
     raw = edge + parts
-    return (raw, parts_error + _e0_tail_bound(u_max), -square - 2.0 * raw - edge,
-            square_error + 2.0 * parts_error + _force_tail_bound(u_max))
+    numbers = (raw, parts_error + _e0_tail_bound(u_max), -square - 2.0 * raw - edge,
+               square_error + 2.0 * parts_error + _force_tail_bound(u_max))
+    if not isinstance(L, np.ndarray):
+        numbers = [float(a[0]) for a in numbers]
+    raw, raw_error, slope, slope_error = numbers
+    unit = 1.0 / (_TWO_PI_SQ * n * _power(L, 3))
+    return _scaled(Estimate(raw, raw_error), unit), _scaled(Estimate(slope, slope_error), -unit / L)
 
 
 def total_energy_lifshitz(
@@ -771,7 +772,7 @@ def lifshitz_rows(
     model_error = 0.0
     if mode is Mode.FULL_KAPPA1 and isinstance(model, Tabulated):
         # sampled data has no closed trust region, so nothing to flag
-        e0, force = _tabulated_full(L, model, quad)
+        e0, force = _table_rows(L, model, quad)
         delta = Estimate(0.0, 0.0)
         flagged = False
     elif mode in (Mode.FIRST_ORDER_SPLIT, Mode.FULL_KAPPA1):

@@ -2,7 +2,7 @@
 
 ``integrate`` takes the arguments of ``casdisp.lifshitz._integrate_panels``,
 a column of rows' breakpoints and an integrand of the nodes and their row,
-and gives a list of each row's tuple of Estimates, so a test can put it in
+and gives (values, errors), two (rows, k) arrays, so a test can put it in
 the panel rule's place and compare the two rules on the same integrand and
 breaks.  The rows integrate one at a time.
 """
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from casdisp.lifshitz import _ROUNDING, Estimate, QuadratureError
+from casdisp.lifshitz import _ROUNDING, QuadratureError
 
 # By t = 3.25 the weights are down to about 1e-16 of the panel width and
 # the nodes press against the ends, so the steps stop there.
@@ -19,10 +19,11 @@ _T_MAX = 3.25
 
 
 def integrate(integrand, breaks, spec):
-    return [
+    rows = [
         _row(lambda u, r=r: integrand(u, np.full(u.shape, r)), row_breaks, spec)
         for r, row_breaks in enumerate(breaks)
     ]
+    return tuple(np.array(part) for part in zip(*rows))
 
 
 def _row(integrand, breaks, spec):
@@ -56,7 +57,7 @@ def _row(integrand, breaks, spec):
             change = np.abs(value - previous)
             if np.all(change <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))):
                 error = change + _ROUNDING * np.abs(terms).sum(axis=-1)
-                return tuple(Estimate(float(v), float(e)) for v, e in zip(value, error))
+                return value, error
         previous = value
         level += 1
     raise QuadratureError(f"tanh-sinh did not converge by step 2^-{level - 1}")

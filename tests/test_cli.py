@@ -278,6 +278,7 @@ class TestConfig:
             ("mode = fulll", "fulll"),
             ("L = wide", "wide"),
             ("si = maybe", "maybe"),
+            ("n0 1", "line 5: expected 'key = value'"),
         ],
     )
     def test_values_checked_like_flags(self, capsys, tmp_path, entry, named):
@@ -568,6 +569,47 @@ class TestHandlerErrors:
                  "--method", "lifshitz", "--format", "csv"],
                 "casdisp compute: error: --ns-table and --n0/--n1 are mutually exclusive",
             ),
+            (
+                ["compute", "--L", "1", "--method", "analytic", "--format", "json"],
+                "casdisp compute: error: one of --n0 or --ns-table is required",
+            ),
+            # the sweep grid (SweepSpec) and what an n1 sweep needs
+            (
+                ["sweep", "--variable", "L", "--min", "2", "--max", "1", "--points", "3",
+                 "--n0", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: need min < max, got [2.0, 1.0]",
+            ),
+            (
+                ["sweep", "--variable", "L", "--min", "0", "--max", "1", "--points", "3",
+                 "--scale", "log", "--n0", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: log scale needs min > 0",
+            ),
+            (
+                ["sweep", "--variable", "L", "--min", "-1", "--max", "1", "--points", "3",
+                 "--n0", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: separations must be positive",
+            ),
+            (
+                ["sweep", "--variable", "n1", "--min", "-1", "--max", "1", "--points", "3",
+                 "--L", "1", "--n0", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: dispersion coefficients must be >= 0",
+            ),
+            (
+                ["sweep", "--variable", "n1", "--min", "0", "--max", "1e-3", "--points", "3",
+                 "--L", "1", "--ns-table", "n.csv", "--method", "lifshitz", "--format", "csv"],
+                "casdisp sweep: error: cannot sweep n1 against a tabulated model",
+            ),
+            (
+                ["sweep", "--variable", "n1", "--min", "0", "--max", "1e-3", "--points", "3",
+                 "--L", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: --n0 is required when sweeping n1",
+            ),
+            (
+                ["sweep", "--variable", "n1", "--min", "0", "--max", "1e-3", "--points", "3",
+                 "--n0", "1", "--method", "analytic", "--format", "csv"],
+                "casdisp sweep: error: --L is required when sweeping n1",
+            ),
+            (["validate", "--tol", "-1"], "casdisp validate: error: --tol must be non-negative"),
         ],
     )
     def test_subcommand_usage(self, capsys, argv, message):

@@ -54,6 +54,8 @@ class TestEnergies:
             e0_analytic(0.0, 1.0)
         with pytest.raises(ValueError):
             delta_e_analytic(1.0, -1.0, 0.0)
+        with pytest.raises(ValueError, match="dispersion coefficient must be >= 0, got -1e-06"):
+            delta_e_analytic(1.0, 1.0, -1e-6)
         with pytest.raises(ValueError):
             SurfaceTermSpec(math.inf)
 

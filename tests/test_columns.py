@@ -228,20 +228,24 @@ class TestRowsMatchFloatCalls:
             return np.exp(-u * (1.0 + row))[None]
 
         monkeypatch.setattr(lifshitz, "_panel_passes", counted)
-        column = lifshitz._integrate_panels(integrand, rows(), DEFAULT_QUADRATURE)
+        values, errors = lifshitz._integrate_panels(integrand, rows(), DEFAULT_QUADRATURE)
         assert entries == [(0, 2, 3), (2, 1, 4), (3, 1, 5), (4, 2, 6)]
         for r, count in enumerate(panels):
-            (alone,) = lifshitz._integrate_panels(
+            alone = lifshitz._integrate_panels(
                 lambda u, row: integrand(u, row + r), [np.linspace(0.0, 1.0, count + 1)],
                 DEFAULT_QUADRATURE,
             )
-            assert repr(column[r]) == repr(alone)
+            assert repr([a[0].tolist() for a in alone]) == repr(
+                [values[r].tolist(), errors[r].tolist()]
+            )
 
     def test_table_column_fails_as_its_first_failing_row(self):
-        # Alone, L = 0.03 converges and L = 0.5 and 4 fail, each with its
-        # own largest panel error; the column reports the first of them,
-        # not the largest over the column
-        step = COLUMN_TABLES["step"]
+        # Alone, L = 0.03 converges and L = 8 and 10 fail, each with its own
+        # largest panel error; the column reports the first of them, not the
+        # largest over the column.  n falls from 5 to 1, and three bisections
+        # leave the failing panels' spreads 500 to 20,000 times the rounding
+        # their own nodes put in, so they fail for want of bisections
+        step = Tabulated((0.0, 1.0, 1.1, 40.0), (5.0, 5.0, 1.0, 1.0))
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
 
         def message(L):
@@ -250,11 +254,11 @@ class TestRowsMatchFloatCalls:
             return str(failure.value)
 
         lifshitz_rows(0.03, step, None, spec, Mode.FULL_KAPPA1)
-        first, second = message(0.5), message(4.0)
-        assert first.endswith("largest panel error 3.47e-18")
-        assert second.endswith("largest panel error 4.27e-16")
-        assert message(np.array([0.03, 0.5, 4.0])) == first
-        assert message(np.array([0.03, 4.0, 0.5])) == second
+        first, second = message(8.0), message(10.0)
+        assert first.endswith("largest panel error 7.32e-15")
+        assert second.endswith("largest panel error 4.28e-16")
+        assert message(np.array([0.03, 8.0, 10.0])) == first
+        assert message(np.array([0.03, 10.0, 8.0])) == second
 
     @pytest.mark.parametrize("column", ["L", "n1", "table"])
     def test_one_evaluation_per_column(self, monkeypatch, column):

@@ -78,6 +78,11 @@ class TestFirstOrderSlope:
 
 
 class TestValiditySweep:
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_non_positive_separation_rejected(self, L):
+        with pytest.raises(ValueError, match=f"separation must be positive, got {L}"):
+            validity_sweep(Cauchy(1.0, 1e-4), [1.0, L])
+
     def test_boundary_ratio_identity(self):
         model = Cauchy(1.0, 0.01)
         boundary = 2.0 * math.pi * math.sqrt(0.01)

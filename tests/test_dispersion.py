@@ -37,6 +37,8 @@ class TestConstruction:
             Tabulated((-1.0, 1.0), (1.0, 1.0))  # negative frequency
         with pytest.raises(ValueError):
             Tabulated((1.0,), (1.0,))  # single sample
+        with pytest.raises(ValueError, match="xi and n columns differ in length"):
+            Tabulated((0.0, 1.0, 2.0), (1.0, 1.0))
 
 
 class TestIndexOfRealFrequency:
