@@ -32,8 +32,12 @@ F(g)/(2*pi^2*n0*L^3).  Past the peak of kappa_1, at u_t = 1/sqrt(3g), the
 model is out of its domain, so the window ends there when 3g*u_max^2 > 1,
 decided once per row; the first-order part it drops is reported as a
 model error, and the beyond-validity flag is the trust region's alone.
-F(g) and F'(g) are read from Chebyshev interpolants built once per
-``QuadratureSpec``.  A column of rows is one evaluation, in which each
+F(g) = int_0^U [I(u - g*u^3, 1) - I(u, 1)] du is integrated by parts, with
+f(x) = x*log(1 - e^(-2x)) = -dI(x, 1)/dx at the nodes, as two integrals of
+one sign that keep their digits as g -> 0 (see ``_full_samples``).  F(g)
+and F'(g) are read from Chebyshev interpolants built once per
+``QuadratureSpec``, which at the default spec report 4.3e-14 and 9.0e-14
+on F/g (about 0.8).  A column of rows is one evaluation, in which each
 full-kappa_1 row reads F(g) and a table's rows share the node passes.
 
 One node rule does the outer integrals: the Gauss-Kronrod 7/15 pair of
@@ -52,12 +56,12 @@ QUADPACK itself only backs the independent oracle ``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
 is (3F + 2g*F')/(2*pi^2*n0*L^4) on top of 3*e0/L.  For a table, at fixed
-xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x*f(x) - 2*I(x, 1), with
-f(x) = x*log(1 - e^(-2x)), and the window, fixed in u, shrinks in xi as L
-grows, so dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
-As dI(x, 1)/dx = -f(x), a table row integrates both by parts, with
-passes over [u*f(x)*x'(u), x*f(x)] and Li_2, Li_3 only at x(u_max), in
-one call over the column's rows.
+xi, L^3 * dI(kappa_1, L)/dL = G(x) = -x*f(x) - 2*I(x, 1), and the window,
+fixed in u, shrinks in xi as L grows, so
+dE/dL = [int_0^u_max G(x) du - u_max*I(x(u_max), 1)] / (2*pi^2*n*L^4).
+A table row integrates both by parts too, with passes over
+[u*f(x)*x'(u), x*f(x)] and Li_2, Li_3 only at x(u_max), in one call over
+the column's rows.
 """
 
 from __future__ import annotations
@@ -446,6 +450,11 @@ def _delta_number(quad: QuadratureSpec) -> Estimate:
     return Estimate(value.item(), error.item() + _delta_tail_bound(quad.u_max))
 
 
+def _f(x: np.ndarray) -> np.ndarray:
+    # f(x) = x*log(1 - e^(-2x)) = -dI(x, 1)/dx, what F(g) and a table row integrate by parts
+    return x * log_one_minus_exp(2.0 * x)
+
+
 def _scaled(number: Estimate, scale: float) -> Estimate:
     return Estimate(number.value * scale, number.error * abs(scale))
 
@@ -483,8 +492,8 @@ def delta_e_lifshitz_full(
     """Dispersive part of the full-kappa_1 energy, all orders in n1.
 
     F(g)/(2*pi^2*n0*L^3), with F(g) = int_0^U [I(u - g*u^3, 1) - I(u, 1)] du
-    and g = n1/(n0^3*L^2): the pointwise difference keeps the small
-    correction free of cancellation against the leading term.  The window
+    and g = n1/(n0^3*L^2), integrated by parts so that the small correction
+    keeps its relative digits as g shrinks.  The window
     ends at the peak of kappa_1, U = u_t = 1/sqrt(3g), where 3g*u_max^2 > 1,
     and at U = u_max otherwise.  Returns the estimate and whether the
     window ended at the peak, which is exactly when the breakdown's
@@ -503,41 +512,40 @@ def delta_e_lifshitz_full(
 # so rows with 3*g*_U_MIN*_U_MIN > 1, outside the trust region for every
 # n0 >= 0.9, integrate directly.  _full_row tests each comparison once per
 # row, and _full_samples the first in the same rounding order over an
-# array.  The node counts leave the last coefficients at the samples'
-# noise, about 1e-13 and 1e-15 of the first.
+# array.  The node counts leave the last coefficients near the samples'
+# noise, 3e-16 and 2e-15 of the first; fewer report 2-14 times the error.
 _U_MIN = 3.0
 _PIECE_NODES = (20, 32)
 
 
-def _full_samples(
-    g: np.ndarray, quad: QuadratureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _full_samples(g: np.ndarray, quad: QuadratureSpec) -> tuple:
     # F(g), its error, F'(g) and its error for an array of g > 0, from one
-    # node pass: u = U*s maps each window [0, U] onto s in [0, 1], so every
-    # g shares the nodes and the pass costs little more than one g alone.
-    # With x = u - g*u^3, dI(x, 1)/dg = u^3*x*log(1 - e^(-2x)), and where
-    # U = u_t the window's end moves by dU/dg = -U/(2g) = -1.5*U^3, at which
-    # x(U) = 2U/3.  On the window x >= 2u/3, so kappa_1 is never clamped.
+    # node pass, by parts: with x = u - g*u^3,
+    #   F = g*int_0^U u^3*(1 - 3g*u^2)*f(x) du + int_{x(U)}^U (U - x)*f(x) dx
+    # and F' = int_0^U u^3*f(x) du, less 1.5*U^3*(I(x(U), 1) - I(U, 1)) where
+    # U = u_t moves by dU/dg = -1.5*U^3, at x(U) = 2U/3.  u = U*s maps [0, U]
+    # and x = U - g*U^3*(1 - s) maps [x(U), U] onto s in [0, 1], so every g
+    # shares the nodes.  On the window x >= 2u/3: kappa_1 is never clamped.
     u_max = quad.u_max
     peak = 3.0 * g * u_max * u_max > 1.0
     U = np.where(peak, 1.0 / np.sqrt(3.0 * g), u_max)
+    drop = g * U**3  # U - x(U)
 
     def integrand(s: np.ndarray, row: np.ndarray) -> np.ndarray:
         u = U[:, None] * s
-        x = u - g[:, None] * u**3
-        # one polylogarithm pass over both lower limits
-        both = inner_integral(np.concatenate((x.ravel(), u.ravel())), 1.0)
-        energy = (both[: x.size] - both[x.size :]).reshape(x.shape)
-        return np.concatenate((energy, u**3 * x * log_one_minus_exp(2.0 * x)))
+        f = _f(np.concatenate((u - g[:, None] * u**3, U[:, None] - drop[:, None] * (1.0 - s))))
+        cube = u**3 * f[: g.size]
+        energy = cube * (1.0 - 3.0 * g[:, None] * u * u)
+        return np.concatenate((energy, cube, (1.0 - s) * f[g.size :]))
 
-    # one row of stacked samples; parts 1/16 wide in s are about 1 wide in u where U = u_max
-    value, error = (a.reshape(2, -1) * U for a in _integrate_panels(
+    # one row of stacked samples, each integral over s then scaled to its
+    # share; parts 1/16 wide in s are about 1 wide in u where U = u_max
+    weights = np.stack((g * U, U, drop * drop))
+    value, error = (a.reshape(3, -1) * weights for a in _integrate_panels(
         integrand, _graded_breaks(1.0, 1.0 / 16.0), quad))
-    end, start = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
-    slope = value[1] - np.where(peak, 1.5 * U**3 * (end - start), 0.0)
-    # the differences round on the scale of I(u, 1), whose integral is c0
-    rounding = _ROUNDING * abs(_e0_number(quad).value)
-    return value[0], error[0] + rounding, slope, error[1]
+    start, stop = inner_integral(np.concatenate((2.0 * U / 3.0, U)), 1.0).reshape(2, -1)
+    slope = value[1] - np.where(peak, 1.5 * U**3 * (start - stop), 0.0)
+    return value[0] + value[2], error[0] + error[2], slope, error[1]
 
 
 class _Chebyshev(NamedTuple):
@@ -574,23 +582,17 @@ def _full_piece(quad: QuadratureSpec, piece: int) -> _Chebyshev:
     v = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(angles)
     g = v if piece == 0 else np.exp(-2.0 * v) / 3.0
     raw, raw_error, slope, slope_error = _full_samples(g, quad)
-    ratio, ratio_error = raw / g, raw_error / g
-    # coefficients from the discrete cosine transform on the nodes; the
-    # interpolant's error is twice the last coefficients (the tail the
-    # nodes alias) plus the Lebesgue constant of the nodes times the
-    # largest sample error
-    transform = np.cos(np.outer(np.arange(count), angles)) * (2.0 / count)
-    transform[0] *= 0.5
+    # coefficients of F/g and F' from the discrete cosine transform on the
+    # nodes; an interpolant's error is twice its last coefficients (the
+    # tail the nodes alias) plus the Lebesgue constant of the nodes times
+    # the largest sample error
+    transform = np.cos(np.outer(angles, np.arange(count))) * (2.0 / count)
+    transform[:, 0] *= 0.5
     lebesgue = 2.0 / math.pi * math.log(count) + 1.0
-    fits, errors = [], []
-    for values, sample_error in ((ratio, ratio_error), (slope, slope_error)):
-        coefficients = transform @ values
-        fits.append(coefficients.tolist())
-        errors.append(
-            2.0 * float(np.abs(coefficients[-4:]).sum())
-            + lebesgue * float(sample_error.max())
-        )
-    return _Chebyshev(lo, hi, fits[0], fits[1], tuple(errors))
+    fits = np.stack((raw / g, slope)) @ transform
+    errors = 2.0 * np.abs(fits[:, -4:]).sum(axis=1) + lebesgue * np.stack(
+        (raw_error / g, slope_error)).max(axis=1)
+    return _Chebyshev(lo, hi, *fits.tolist(), tuple(errors.tolist()))
 
 
 def _window_tail_bound(g: float, u_max: float, u_t: float) -> tuple[float, float]:
@@ -686,16 +688,13 @@ def _full_row(g: float, quad: QuadratureSpec) -> tuple[float, float, float, floa
         raw_tail = slope_tail = 0.0
     ratio, slope = piece(v)
     ratio_error, slope_error = piece.errors
-    rounding = _ROUNDING * abs(_e0_number(quad).value)
-    return (g * ratio, g * ratio_error + rounding + raw_tail, slope, slope_error + slope_tail,
-            dropped, peak)
+    return g * ratio, g * ratio_error + raw_tail, slope, slope_error + slope_tail, dropped, peak
 
 
 def _table_rows(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Estimate]:
     # (energy, force) of a row, or arrays of them over a column, by parts.
-    # With f(x) = x*log(1 - e^(-2x)), dI(x, 1)/dx = -f(x), and
-    # x(u) = kappa_1*L is C^1 (PCHIP, flat past the table's ends), monotone
-    # or not, so on [0, U], U = u_max,
+    # As dI(x, 1)/dx = -f(x) and x(u) = kappa_1*L is C^1 (PCHIP, flat past
+    # the table's ends), monotone or not, on [0, U], U = u_max,
     #   int I(x, 1) du = U*I(x(U), 1) + int u*f(x)*x'(u) du
     #   int G(x) du - U*I(x(U), 1) = -int x*f(x) du - 2*int I(x, 1) du - U*I(x(U), 1)
     # from node passes over [u*f*x', x*f] that the rows share; Li_2 and
@@ -717,7 +716,7 @@ def _table_rows(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Es
         xi = u / scale[row]
         index, slope = model._index_and_slope(xi)
         x = index * xi * column[row]
-        f = x * log_one_minus_exp(2.0 * x)
+        f = _f(x)
         # x'(u) = (n(xi) + xi*n'(xi))/n
         return np.stack((u * f * (index + xi * slope) / n, x * f))
 

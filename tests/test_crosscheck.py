@@ -55,15 +55,17 @@ class TestFirstOrderSlope:
 
     @pytest.mark.parametrize("probe", [5e-7, 1e-6, 1e-5])
     def test_residual_is_the_series_bias(self, probe):
-        # with F(g) = c1*g + c2*g^2 + c3*g^3 + ..., the slope at L = n0 = 1
-        # is F(g)/(2*pi^2*g), off the closed form by (c2*g + c3*g^2)/c1 and
-        # less than the quadrature's error beyond
+        # with F(g) = c1*g + c2*g^2 + c3*g^3 + c4*g^4 + ..., the slope at
+        # L = n0 = 1 is F(g)/(2*pi^2*g), off the closed form by
+        # (c2*g + c3*g^2 + c4*g^3)/c1 and less than the quadrature's error
+        # beyond (c5*g^4/c1 is 2e-13 at g = 1e-5)
         c1, c2, c3 = -math.pi**6 / 1260.0, -math.pi**8 / 560.0, -math.pi**10 / 99.0
+        c4 = -691.0 * math.pi**12 / 6552.0
         target = delta_e_analytic(1.0, 1.0, 1.0)
         residual = first_order_slope(1.0, 1.0, n1_probe=probe) / target - 1.0
         delta, _ = delta_e_lifshitz_full(1.0, Cauchy(1.0, probe))
         bound = delta.error / (probe * abs(target))
-        assert abs(residual - (c2 * probe + c3 * probe**2) / c1) <= bound
+        assert abs(residual - (c2 * probe + c3 * probe**2 + c4 * probe**3) / c1) <= bound
 
     def test_default_probe(self):
         assert first_order_slope(2.0, 1.0) == pytest.approx(

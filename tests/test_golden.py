@@ -6,7 +6,10 @@ compares all three exactly.  Warnings are raised as errors, so a numpy
 warning that would reach stderr fails the shape.  To record the files
 again, from the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
+
+which records only the named shapes, or every shape when none is named,
+and rejects a name that is not a shape.
 """
 
 from __future__ import annotations
@@ -173,7 +176,12 @@ def test_every_golden_file_has_a_shape():
 
 
 if __name__ == "__main__":
-    for name, argv in SHAPES.items():
+    names = sys.argv[1:] or list(SHAPES)
+    unknown = sorted(set(names) - set(SHAPES))
+    if unknown:
+        sys.exit(f"not a shape: {', '.join(unknown)}")
+    for name in names:
+        argv = SHAPES[name]
         record = {"argv": argv, **run(argv)}
         (GOLDEN / f"{name}.json").write_text(json.dumps(record, indent=1) + "\n")
         print(f"{name}: exit {record['exit']}", file=sys.stderr)

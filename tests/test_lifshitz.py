@@ -414,6 +414,13 @@ class TestOnePassPerRow:
             assert calls["log_one_minus_exp"] == [1, 1]
 
 
+def _log_integrand(t: float) -> float:
+    # t*log(1 - e^(-2t)), each form where it keeps its digits
+    if 2.0 * t < math.log(2.0):
+        return t * math.log(-math.expm1(-2.0 * t))
+    return t * math.log1p(-math.exp(-2.0 * t))
+
+
 def _quadpack_oracle(integrand, breaks):
     # QUADPACK on the same scalar integrand, told where it is not smooth
     value, error = quad(
@@ -440,8 +447,12 @@ class TestNodeRule:
         u_max = DEFAULT_QUADRATURE.u_max
 
         def integrand(u):
-            low = kappa_lower(model, u / (n0 * L))
-            return inner_integral(low * L, 1.0) - inner_integral(u, 1.0)
+            # I(x, 1) - I(u, 1) = int_x^u t*log(1 - e^(-2t)) dt, by QUADPACK
+            # too: a difference of the two closed forms rounds at about 1e-16
+            # of I(u, 1), which QUADPACK's estimate leaves out, and at
+            # g = 1e-9 that is 4e-8 of F(g)
+            low = kappa_lower(model, u / (n0 * L)) * L
+            return quad(_log_integrand, low, u, epsabs=0.0, epsrel=1e-13)[0]
 
         peak = n0 * L * math.sqrt(n0 / (3.0 * model.n1))
         raw, raw_error = _quadpack_oracle(integrand, [0.0, min(peak, u_max)])
@@ -625,8 +636,7 @@ class TestPanelRule:
         # log-spaced g at each tolerance, then the energy and force of
         # random Drude tables
         def outer_integrals(spec):
-            # F(g)'s rounding floor reads c0 from the cache, which the first
-            # call fills from the panel rule
+            # F(g) by parts, at log-spaced g on both sides of g_k
             samples = lifshitz._full_samples(np.geomspace(1e-7, 5e-2, 6), spec)
             raw, raw_error, slope, slope_error = samples
             return [
@@ -985,6 +995,73 @@ class TestFullKappa1Interpolant:
         dropped, _ = quad(lambda u: u**4 * math.log1p(-math.exp(-2.0 * u)), u_t, math.inf)
         assert n1 * abs(dropped) / (2.0 * math.pi**2 * L**5) <= edge.model_error
         assert edge.error_estimate < 1e-9 * abs(edge.total)
+
+
+def _mpmath_inner(x: mpmath.mpf) -> mpmath.mpf:
+    # I(x, 1) from Li_2 and Li_3 at the working precision
+    w = mpmath.exp(-2 * x)
+    return -x * mpmath.polylog(2, w) / 2 - mpmath.polylog(3, w) / 4
+
+
+def _mpmath_full(g: float, spec: QuadratureSpec) -> tuple[float, float]:
+    # F(g) = int_0^U [I(x, 1) - I(u, 1)] du, x = u - g*u^3, in its difference
+    # form at 32 digits, which leave the cancellation no weight, and
+    # F'(g) = int_0^U u^3*x*log(1 - e^(-2x)) du, less the moving end's term
+    # where the window ends at the peak; U as _full_row decides it
+    peak = 3.0 * g * spec.u_max * spec.u_max > 1.0
+    with mpmath.workdps(32):
+        g = mpmath.mpf(g)
+        U = 1 / mpmath.sqrt(3 * g) if peak else mpmath.mpf(spec.u_max)
+        F = mpmath.quad(lambda u: _mpmath_inner(u - g * u**3) - _mpmath_inner(u), [0, 1, U])
+        slope = mpmath.quad(
+            lambda u: u**3 * (u - g * u**3) * mpmath.log(-mpmath.expm1(-2 * (u - g * u**3))),
+            [0, 1, U],
+        )
+        if peak:
+            slope -= 1.5 * U**3 * (_mpmath_inner(2 * U / 3) - _mpmath_inner(U))
+        return float(F), float(slope)
+
+
+class TestFullKappa1AgainstMpmath:
+    """F(g) by parts against its difference form at 32 digits, on each path of _full_row."""
+
+    @pytest.mark.parametrize(
+        "g, path",
+        [
+            # piece 0, up to just below g_k = 9.8e-4 at the default tail cut
+            *((g, "piece 0") for g in (1e-8, 1e-6, 1e-4, 9.5e-4)),
+            # piece 1, the window ending at the peak u_t in [3, u_max]
+            *((g, "piece 1") for g in (1e-3, 5e-3, 2e-2)),
+            # a direct pass, 3g*_U_MIN^2 > 1
+            (0.1, "direct"),
+        ],
+    )
+    def test_full_row_within_estimate_of_difference_form(self, g, path):
+        raw, raw_error, slope, slope_error, _, peak = lifshitz._full_row(g, DEFAULT_QUADRATURE)
+        taken = "direct" if 3.0 * g * lifshitz._U_MIN**2 > 1.0 else f"piece {int(peak)}"
+        assert taken == path
+        F, derivative = _mpmath_full(g, DEFAULT_QUADRATURE)
+        assert abs(raw - F) <= raw_error
+        assert abs(slope - derivative) <= slope_error
+        if path == "piece 0":
+            # the reference takes the same window, so the interpolant's own
+            # error covers it, and that is within 1e-12 of F/g
+            piece = lifshitz._full_piece(DEFAULT_QUADRATURE, 0)
+            ratio, _ = piece(g)
+            assert abs(raw - F) <= g * piece.errors[0]
+            assert piece.errors[0] <= 1e-12 * abs(ratio)
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+    def test_tight_tolerance_with_no_absolute_floor(self, rel_tol):
+        # every full-kappa_1 row once raised QuadratureError here: F(g)'s
+        # difference form cancelled, and piece 0's panels never settled
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-30)
+        L, n0, n1 = 1.0, 1.5, 1e-3
+        breakdown = total_energy_lifshitz(Scenario(L, Cauchy(n0, n1)), spec, Mode.FULL_KAPPA1)
+        delta, _ = delta_e_lifshitz_full(L, Cauchy(n0, n1), spec)
+        assert breakdown.delta_e == delta.value
+        F, _ = _mpmath_full(n1 / (n0**3 * L**2), spec)
+        assert abs(delta.value - F / (2.0 * math.pi**2 * n0 * L**3)) <= delta.error
 
 
 def _rows_next_to_g_k(monkeypatch, gs, spec: QuadratureSpec) -> tuple[list, list]:
