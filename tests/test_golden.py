@@ -144,6 +144,9 @@ SHAPES = {
         "sweep", "--variable", "L", "--min", "1", "--max", "2", "--points", "3",
         "--ns-table", "{golden}/drude.csv", "--method", "both", "--format", "csv",
     ],
+    "validate": ["validate"],
+    # no agreement check reaches 1e-15: exit 1
+    "validate-tol-1e-15": ["validate", "--tol", "1e-15"],
 }
 
 
