@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import pytest
 
+from casdisp import crosscheck
 from casdisp.closed_form import Scenario, delta_e_analytic
 from casdisp.crosscheck import (
+    CheckResult,
     compare_methods,
     first_order_slope,
     run_validation_checks,
     validity_sweep,
 )
 from casdisp.dispersion import Cauchy, Constant
-from casdisp.lifshitz import delta_e_lifshitz_full
+from casdisp.lifshitz import DEFAULT_QUADRATURE, Estimate, delta_e_lifshitz_full
+
+AGREEMENTS = 19
 
 
 class TestCompareMethods:
@@ -131,3 +136,96 @@ class TestValidationBattery:
 
     def test_loose_tolerance_passes(self):
         assert all(check.passed for check in run_validation_checks(tol=1e-3))
+
+    def test_agreement_checks_come_first(self):
+        checks = run_validation_checks()
+        assert len(checks) == AGREEMENTS + 4
+        assert all(c.name.startswith("method agreement, ") for c in checks[:AGREEMENTS])
+        assert not any(c.name.startswith("method agreement") for c in checks[AGREEMENTS:])
+
+
+# The battery reads the four numbers of each agreement check directly; these
+# tie each check to compare_methods, which builds the breakdowns
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-7, 1e-3])
+@pytest.mark.parametrize("case", range(AGREEMENTS))
+def test_agreement_check_is_compare_methods(case, tol):
+    name, L, model = crosscheck._agreement_cases()[case]
+    report = compare_methods(Scenario(L, model), DEFAULT_QUADRATURE, tol)
+    worst = max(
+        report.rel_discrepancy_e0, report.rel_discrepancy_delta, report.rel_discrepancy_total
+    )
+    expected = CheckResult(
+        f"method agreement, {name}", report.passed,
+        f"max rel discrepancy {worst:.3e} vs tol {tol:.1e}",
+    )
+    assert run_validation_checks(tol)[case] == expected
+    analytic, lifshitz = crosscheck._split_terms(L, model, DEFAULT_QUADRATURE)
+    for terms, breakdown in ((analytic, report.analytic), (lifshitz, report.lifshitz)):
+        fields = (breakdown.e0, breakdown.delta_e, breakdown.total)
+        assert [v.hex() for v in terms] == [v.hex() for v in fields]
+
+
+class TestNonFiniteRouteValues:
+    """A nan or inf from either route fails its check and prints as it is; nothing raises."""
+
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, math.nan), (math.nan, 0.0), (1.0, math.nan), (math.inf, math.inf),
+                 (1.0, math.inf), (-math.inf, 0.0)],
+    )
+    def test_rel_discrepancy_is_nan(self, a, b):
+        assert math.isnan(crosscheck._rel_discrepancy(a, b))
+
+    def test_rel_discrepancy_of_finite_values(self):
+        assert crosscheck._rel_discrepancy(0.0, 0.0) == 0.0
+        assert crosscheck._rel_discrepancy(1.0, 0.0) == 1.0
+        assert crosscheck._rel_discrepancy(-2.0, -1.0) == 0.5
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_verdict_keeps_a_nan_wherever_it_falls(self, at):
+        lifshitz = [1.0, 2.0, 3.0]
+        lifshitz[at] = math.nan
+        discrepancies, worst, passed = crosscheck._verdict((1.0, 2.5, 3.0), lifshitz, 1.0)
+        assert math.isnan(discrepancies[at]) and math.isnan(worst) and not passed
+
+    @pytest.mark.parametrize("model", [Cauchy(1.5, 1e-3), Constant(1.5)])
+    def test_compare_methods_fails_on_nan(self, monkeypatch, model):
+        route = crosscheck.total_energy_lifshitz
+
+        def nan_route(*args):
+            return dataclasses.replace(route(*args), delta_e=math.nan, total=math.nan)
+
+        monkeypatch.setattr(crosscheck, "total_energy_lifshitz", nan_route)
+        report = compare_methods(Scenario(1.0, model), tol=1e-7)
+        assert not report.passed
+        assert math.isnan(report.rel_discrepancy_delta)
+        assert math.isnan(report.rel_discrepancy_total)
+        assert report.rel_discrepancy_e0 < 1e-14
+
+    def test_battery_fails_agreement_on_nan(self, monkeypatch):
+        monkeypatch.setattr(
+            crosscheck, "delta_e_lifshitz_first_order", lambda *args: Estimate(math.nan, 0.0)
+        )
+        checks = run_validation_checks()
+        for check in checks[:AGREEMENTS]:
+            assert not check.passed
+            assert check.detail == "max rel discrepancy nan vs tol 1.0e-07"
+        assert all(check.passed for check in checks[AGREEMENTS:])
+
+    def test_battery_fails_slope_on_nan(self, monkeypatch):
+        monkeypatch.setattr(
+            crosscheck, "delta_e_lifshitz_full", lambda *args: (Estimate(math.nan, 0.0), False)
+        )
+        checks = run_validation_checks()
+        slope, halves = checks[AGREEMENTS:AGREEMENTS + 2]
+        assert not slope.passed and slope.detail.startswith("rel residual nan ")
+        assert not halves.passed and halves.detail.startswith("residual ratio nan,")
+
+    def test_slope_ratio_with_a_zero_residual(self, monkeypatch):
+        target = delta_e_analytic(1.0, 1.0, 1.0)
+        slope = crosscheck.first_order_slope
+        monkeypatch.setattr(
+            crosscheck, "first_order_slope",
+            lambda L, n0, quad, probe: target if probe == 5e-7 else slope(L, n0, quad, probe),
+        )
+        halves = run_validation_checks()[AGREEMENTS + 1]
+        assert not halves.passed and halves.detail.startswith("residual ratio nan,")
