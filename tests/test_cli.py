@@ -18,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casdisp
+from casdisp import dispersion, lifshitz
 from casdisp.cli import SweepSpec, _build_parser, _config_argv, _parse_plain, _run, main
 from casdisp.closed_form import Scenario, total_energy_analytic
 from casdisp.dispersion import Cauchy, min_separation
 from casdisp.lifshitz import Mode, QuadratureError, total_energy_lifshitz
-from test_columns import _log_uniform
+from test_columns import COLUMN_TABLES, _log_uniform
 from test_golden import GOLDEN, SHAPES, run
+from test_lifshitz import CLOSE_KNOTS, _drude_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -205,6 +207,17 @@ class TestCompute:
             assert str(table) in argv
             expected = json.loads((GOLDEN / f"{name}.json").read_text())
             assert run(argv) == {key: expected[key] for key in ("exit", "stdout", "stderr")}
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, argv in SHAPES.items() if "--ns-table" in argv)
+    )
+    def test_table_shape_twice_in_one_process(self, name):
+        # the first run parses the table; the second reads that parse of the
+        # same bytes, and both print the golden record
+        dispersion._parse_index_table.cache_clear()
+        record = json.loads((GOLDEN / f"{name}.json").read_text())
+        first, second = run(SHAPES[name]), run(SHAPES[name])
+        assert first == second == {key: record[key] for key in ("exit", "stdout", "stderr")}
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -392,6 +405,74 @@ class TestSweep:
         assert payload["sweep"]["points"] == 2
         assert len(payload["rows"]) == 2
         assert payload["rows"][0]["L"] == 1.0
+
+
+class TestRunsClean:
+    """Command lines with no golden record exit 0, and no warning is raised."""
+
+    # "{tmp}/<name>.csv" stands for each table, which the test writes out
+    TABLES = {
+        # few knots near xi = 0, which the panels' grading toward u = 0 serves
+        "two": COLUMN_TABLES["two"],
+        "five": _drude_table(3.0, 1.0, 5, 0.3),
+        # x(u) = kappa_1*L falls where n does, so x'(u) < 0
+        "step": COLUMN_TABLES["step"],
+        # n falls from 2 to 1 across knots 1e-4 apart
+        "close": CLOSE_KNOTS["step-0.0001"],
+    }
+    TABLE_SWEEP = ["sweep", "--variable", "L", "--min", "0.03", "--max", "50", "--points", "20",
+                   "--scale", "log", "--method", "lifshitz", "--format", "csv"]
+    LINES = {
+        # g = n1/(n0^3*L^2) from 0 through the interpolant in log U, where the
+        # window ends at the peak, to past g = 1/27, where rows integrate directly
+        "sweep-n1-full": [
+            "sweep", "--variable", "n1", "--min", "0", "--max", "1e-1", "--points", "9",
+            "--L", "1.2", "--n0", "1.1", "--method", "both", "--mode", "full", "--format", "json",
+        ],
+        # the panel rule bisects c0: passes of 585, then 90 nodes
+        **{
+            f"compute-{mode}-rel-tol-1e-13": [
+                "compute", "--L", "1", "--n0", "1.5", "--n1", "1e-3", "--method", "both",
+                "--rel-tol", "1e-13", "--mode", mode, "--format", "json",
+            ]
+            for mode in ("split", "full")
+        },
+        "sweep-drude": [
+            "sweep", "--variable", "L", "--min", "0.5", "--max", "10", "--points", "20",
+            "--scale", "log", "--ns-table", "{golden}/drude.csv", "--method", "lifshitz",
+            "--format", "csv",
+        ],
+        "sweep-two": [*TABLE_SWEEP, "--ns-table", "{tmp}/two.csv"],
+        "sweep-five": [*TABLE_SWEEP, "--ns-table", "{tmp}/five.csv"],
+        "sweep-step": [*TABLE_SWEEP, "--ns-table", "{tmp}/step.csv"],
+        "compute-close": [
+            "compute", "--L", "1", "--ns-table", "{tmp}/close.csv", "--method", "lifshitz",
+            "--format", "csv",
+        ],
+        # 48 rows of 200 knots hold more nodes than one pass group of the
+        # panel rule takes: 15 groups, of which two bisect at rel_tol 1e-13
+        **{
+            f"sweep-drude200-rel-tol-{tol}": [
+                "sweep", "--variable", "L", "--min", "0.03", "--max", "50", "--points", "48",
+                "--scale", "log", "--ns-table", "{golden}/drude200.csv", "--method", "lifshitz",
+                "--format", "csv", "--rel-tol", tol,
+            ]
+            for tol in ("1e-10", "1e-13")
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_exits_0(self, tmp_path, name):
+        # as in a fresh process: no integral or table is cached yet
+        for cached in (lifshitz._e0_number, lifshitz._delta_number, lifshitz._full_piece,
+                       dispersion._parse_index_table):
+            cached.cache_clear()
+        for stem, table in self.TABLES.items():
+            (tmp_path / f"{stem}.csv").write_text(
+                "".join(f"{x!r},{n!r}\n" for x, n in zip(table.xi, table.n))
+            )
+        got = run([arg.replace("{tmp}", str(tmp_path)) for arg in self.LINES[name]])
+        assert got["exit"] == 0, got["stderr"]
 
 
 # the CSV row as a loop over the rows prints it: the grid value, then the
@@ -772,8 +853,10 @@ class TestParserBuiltOnce:
             "sweep", "--variable", "L", "--min", "1", "--max", "4", "--points", "3",
             "--n0", "1.5", "--method", "both", "--format", "csv",
         ]
-        # argparse's own path: an abbreviated flag, and every flag as --flag=value
-        abbreviated = [{"--points": "--poi"}.get(token, token) for token in sweep]
+        # argparse's own path: abbreviated flags, and every flag as --flag=value
+        short = {"--variable": "--var", "--points": "--poi", "--method": "--meth",
+                 "--format": "--form"}
+        abbreviated = [short.get(token, token) for token in sweep]
         equals = sweep[:1] + [f"{flag}={value}" for flag, value in zip(sweep[1::2], sweep[2::2])]
         calls = [
             ["compute", "--config", str(config)],

@@ -160,9 +160,8 @@ class TestPchipMatchesScipy:
 
     @staticmethod
     def _expected(xi, n, queries):
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(xi, n)(np.clip(queries, xi[0], xi[-1]))
+        interpolate = pytest.importorskip("scipy.interpolate")
+        return interpolate.PchipInterpolator(xi, n)(np.clip(queries, xi[0], xi[-1]))
 
     @pytest.mark.parametrize("size", [2, 3, 5, 17, 60])
     @pytest.mark.parametrize(
@@ -205,8 +204,7 @@ class TestPchipMatchesScipy:
         "shape", ["increasing", "decreasing", "non-monotone", "flat segments"]
     )
     def test_slope_is_the_derivative_and_flat_past_the_ends(self, shape):
-        from scipy.interpolate import PchipInterpolator
-
+        interpolate = pytest.importorskip("scipy.interpolate")
         for size in (2, 5, 17):
             xi, n = _pchip_table(shape, size, size)
             table = Tabulated(tuple(xi), tuple(n))
@@ -215,7 +213,7 @@ class TestPchipMatchesScipy:
             queries = np.concatenate((inside, [xi[0] - span / 3, xi[-1], xi[-1] + span]))
             index, slope = table._index_and_slope(queries)
             assert list(index) == list(table.index_at(queries))
-            expected = PchipInterpolator(xi, n).derivative()(inside)
+            expected = interpolate.PchipInterpolator(xi, n).derivative()(inside)
             scale = np.abs(expected).max() + np.abs(np.diff(n) / np.diff(xi)).max()
             np.testing.assert_allclose(slope[:-3], expected, rtol=0.0, atol=1e-12 * scale)
             assert list(slope[-3:]) == [0.0, 0.0, 0.0]

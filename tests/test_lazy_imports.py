@@ -1,7 +1,7 @@
 """The run paths load numpy alone: scipy and mpmath stay out of sys.modules,
 and every command runs where neither can be imported.
 
-Each case runs in a fresh interpreter, because the test process itself has
+Each case runs in a fresh interpreter, because the test process itself may have
 imported both.
 """
 
@@ -153,7 +153,33 @@ def test_every_command_runs_without_scipy_and_mpmath(drude_table):
     ]
 
 
+# makes scipy and mpmath unimportable, puts the tests' directory (the first
+# argument) on the path, imports each test module named after it, and prints
+# each one that does not import, with what it raised: a module-level oracle
+# import, or a module-level skip, would take its numpy-only tests with it
+IMPORT_TESTS = """
+import importlib, json, sys
+sys.modules["scipy"] = sys.modules["mpmath"] = None
+import pytest
+sys.path.insert(0, sys.argv[1])
+failed = []
+for name in sys.argv[2:]:
+    try:
+        importlib.import_module(name)
+    except (Exception, pytest.skip.Exception) as exc:
+        failed.append(f"{name}: {exc!r}")
+print(json.dumps(failed))
+"""
+
+
+def test_every_test_module_imports_without_scipy_and_mpmath():
+    tests = Path(__file__).resolve().parent
+    names = sorted(path.stem for path in tests.glob("test_*.py"))
+    assert json.loads(_run(IMPORT_TESTS, str(tests), *names)) == []
+
+
 def test_quadpack_oracle_imports_scipy_on_first_call():
+    pytest.importorskip("scipy.integrate")
     out = _run(
         "import sys\n"
         "from casdisp.lifshitz import inner_integral, inner_integral_quadrature\n"

@@ -3,12 +3,10 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from tanh_sinh import integrate as tanh_sinh
 
 from casdisp import lifshitz
@@ -109,6 +107,7 @@ class TestInnerIntegral:
 
     def test_frozen_oracle_value(self):
         assert inner_integral(1.0, 1.0) == pytest.approx(INNER_1_1, abs=1e-13)
+        pytest.importorskip("scipy.integrate")
         assert inner_integral_quadrature(1.0, 1.0) == pytest.approx(INNER_1_1, abs=1e-11)
 
     def test_vanishes_at_large_lower_limit(self):
@@ -117,6 +116,7 @@ class TestInnerIntegral:
     @pytest.mark.parametrize("kappa1", [0.0, 0.5, 1.0, 5.0])
     @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
     def test_reduction_against_bruteforce_quadrature(self, kappa1, L):
+        pytest.importorskip("scipy.integrate")
         closed = inner_integral(kappa1, L)
         brute = inner_integral_quadrature(kappa1, L)
         assert closed == pytest.approx(brute, abs=1e-10)
@@ -423,6 +423,7 @@ def _log_integrand(t: float) -> float:
 
 def _quadpack_oracle(integrand, breaks):
     # QUADPACK on the same scalar integrand, told where it is not smooth
+    quad = pytest.importorskip("scipy.integrate").quad
     value, error = quad(
         integrand, breaks[0], breaks[-1], points=breaks[1:-1] or None,
         epsabs=1e-15, epsrel=1e-12, limit=500,
@@ -439,9 +440,13 @@ class TestNodeRule:
     )
     @example(L_exp=0.0, n0=1.0, trust=0.99)
     @example(L_exp=0.1, n0=1.0, trust=0.4)
+    # g = 9.4e-10, where a lower limit x = kappa_1*L missed by 3e-8 of F(g)
+    @example(L_exp=0.25, n0=3.0, trust=1e-6)
+    @example(L_exp=1.5, n0=3.0, trust=1e-6)
     def test_full_kappa1_within_estimate_of_quadpack(self, L_exp, n0, trust):
         # the window ends at the kappa_1 peak, xi = sqrt(n0/(3*n1)), or at
         # u_max, whichever comes first
+        quad = pytest.importorskip("scipy.integrate").quad
         L = 10.0**L_exp
         model = Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2)
         u_max = DEFAULT_QUADRATURE.u_max
@@ -449,10 +454,14 @@ class TestNodeRule:
         def integrand(u):
             # I(x, 1) - I(u, 1) = int_x^u t*log(1 - e^(-2t)) dt, by QUADPACK
             # too: a difference of the two closed forms rounds at about 1e-16
-            # of I(u, 1), which QUADPACK's estimate leaves out, and at
-            # g = 1e-9 that is 4e-8 of F(g)
-            low = kappa_lower(model, u / (n0 * L)) * L
-            return quad(_log_integrand, low, u, epsabs=0.0, epsrel=1e-13)[0]
+            # of I(u, 1), which QUADPACK's estimate leaves out.  It is taken
+            # as d*int_0^1 of the integrand at t = u - d*s, with d = u - x =
+            # g*u^3 formed from n1: the lower limit x itself would round d
+            # by about 1e-16*u/d, which is 3e-8 at g = 1e-9
+            d = model.n1 * u**3 / (n0**3 * L**2)
+            return d * quad(
+                lambda s: _log_integrand(u - d * s), 0.0, 1.0, epsabs=0.0, epsrel=1e-13
+            )[0]
 
         peak = n0 * L * math.sqrt(n0 / (3.0 * model.n1))
         raw, raw_error = _quadpack_oracle(integrand, [0.0, min(peak, u_max)])
@@ -715,7 +724,7 @@ class TestTableByParts:
         "drude200": load_index_table(GOLDEN / "drude200.csv"),
         # x'(u) = 1
         "constant": Tabulated((0.0, 1.0, 2.0), (1.5, 1.5, 1.5)),
-        # the coarse tables of CI's numpy-only job
+        # coarse tables: two knots, and five from xi = 0.3
         "two": Tabulated((0.0, 40.0), (1.8, 1.1)),
         "five": _drude_table(3.0, 1.0, 5, 0.3),
         # x(u) falls on the drop, from 3u to u
@@ -992,15 +1001,10 @@ class TestFullKappa1Interpolant:
         # it bounds the first-order part dropped past the peak, and is no
         # part of the error estimate
         u_t = 2.0 * math.pi / math.sqrt(3.0)
+        quad = pytest.importorskip("scipy.integrate").quad
         dropped, _ = quad(lambda u: u**4 * math.log1p(-math.exp(-2.0 * u)), u_t, math.inf)
         assert n1 * abs(dropped) / (2.0 * math.pi**2 * L**5) <= edge.model_error
         assert edge.error_estimate < 1e-9 * abs(edge.total)
-
-
-def _mpmath_inner(x: mpmath.mpf) -> mpmath.mpf:
-    # I(x, 1) from Li_2 and Li_3 at the working precision
-    w = mpmath.exp(-2 * x)
-    return -x * mpmath.polylog(2, w) / 2 - mpmath.polylog(3, w) / 4
 
 
 def _mpmath_full(g: float, spec: QuadratureSpec) -> tuple[float, float]:
@@ -1008,17 +1012,24 @@ def _mpmath_full(g: float, spec: QuadratureSpec) -> tuple[float, float]:
     # form at 32 digits, which leave the cancellation no weight, and
     # F'(g) = int_0^U u^3*x*log(1 - e^(-2x)) du, less the moving end's term
     # where the window ends at the peak; U as _full_row decides it
+    mpmath = pytest.importorskip("mpmath")
+
+    def inner(x):
+        # I(x, 1) from Li_2 and Li_3 at the working precision
+        w = mpmath.exp(-2 * x)
+        return -x * mpmath.polylog(2, w) / 2 - mpmath.polylog(3, w) / 4
+
     peak = 3.0 * g * spec.u_max * spec.u_max > 1.0
     with mpmath.workdps(32):
         g = mpmath.mpf(g)
         U = 1 / mpmath.sqrt(3 * g) if peak else mpmath.mpf(spec.u_max)
-        F = mpmath.quad(lambda u: _mpmath_inner(u - g * u**3) - _mpmath_inner(u), [0, 1, U])
+        F = mpmath.quad(lambda u: inner(u - g * u**3) - inner(u), [0, 1, U])
         slope = mpmath.quad(
             lambda u: u**3 * (u - g * u**3) * mpmath.log(-mpmath.expm1(-2 * (u - g * u**3))),
             [0, 1, U],
         )
         if peak:
-            slope -= 1.5 * U**3 * (_mpmath_inner(2 * U / 3) - _mpmath_inner(U))
+            slope -= 1.5 * U**3 * (inner(2 * U / 3) - inner(U))
         return float(F), float(slope)
 
 
@@ -1101,17 +1112,19 @@ def _central_difference(
     return value, error
 
 
-def _series_coefficient(k: int) -> mpmath.mpf:
+def _series_coefficient(k: int):
     # c_k of F(g) = sum_{k>=1} c_k*g^k from the Lifshitz integral, expanding
     # I(u - g*u^3, 1) in g and integrating u^(3k) times the k-th derivative
+    mpmath = pytest.importorskip("mpmath")
     f = mpmath.factorial
     return -f(3 * k) * f(2 * k + 2) * mpmath.zeta(2 * k + 4) / (
         f(k) * f(2 * k) * (2 * k + 1) * 2 ** (2 * k + 3)
     )
 
 
-def _up_to_smallest(terms: list) -> mpmath.mpf:
+def _up_to_smallest(terms: list):
     # an asymptotic series summed up to, and not including, its smallest term
+    mpmath = pytest.importorskip("mpmath")
     smallest = min(range(len(terms)), key=lambda k: abs(terms[k]))
     return mpmath.fsum(terms[:smallest])
 
@@ -1126,6 +1139,7 @@ class TestSmallGSeries:
 
     def test_lifshitz_and_zero_point_forms_agree(self):
         # the mode sum over zero-point energies gives c_k through zeta(-2k-3)
+        mpmath = pytest.importorskip("mpmath")
         f = mpmath.factorial
         with mpmath.workdps(60):
             for k in range(9):
@@ -1142,6 +1156,7 @@ class TestSmallGSeries:
     @settings(max_examples=60, deadline=None)
     @given(log_g=st.floats(min_value=math.log(1e-8), max_value=math.log(3e-4)))
     def test_full_row_within_estimate_of_series(self, log_g):
+        mpmath = pytest.importorskip("mpmath")
         g = math.exp(log_g)
         raw, raw_error, slope, slope_error, _, peak = lifshitz._full_row(g, DEFAULT_QUADRATURE)
         assert not peak

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -185,6 +184,7 @@ class TestCutoffZetaDemo:
     def test_domain_ends_against_polylog(self, p, delta):
         # sum n^p x^n = Li_{-p}(x), by mpmath at 60 digits plus 8 per decade
         # of 1/delta, more than the p + 2 per decade that cancel
+        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(_cutoff_oracle_digits(delta)):
             d = mpmath.mpf(delta)
             divergence = 6 / d**4 if p == 3 else 120 / d**6
@@ -195,6 +195,7 @@ class TestCutoffZetaDemo:
     def test_correctly_rounded_on_log_uniform_cutoffs(self, p):
         # the Eulerian closed form in mpmath, with 1 - x from expm1 so that
         # it cancels nothing there
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20 + p)
         for delta in 10.0 ** rng.uniform(-30.0, math.log10(0.5), 2000):
             delta = float(delta)
@@ -247,6 +248,7 @@ ARRAY_POINTS = (
 
 
 def _mp_polylog_exp_neg(s, w):
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         if w == 0.0:
             return float(mpmath.zeta(s))
@@ -254,6 +256,7 @@ def _mp_polylog_exp_neg(s, w):
 
 
 def _mp_log_one_minus_exp(x):
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         x = mpmath.mpf(x)
         if x < 1:
