@@ -134,16 +134,15 @@ def compare_methods(
     )
 
 
-def _agreement_cases() -> list[tuple[str, float, DispersionModel]]:
-    # (name, L, model) of the battery's method-agreement checks, in order
-    return [
-        (f"dispersion-free, L={L} n0={n0}", L, Constant(n0))
-        for L in (0.5, 1.0, 2.0, 5.0)
-        for n0 in (1.0, 1.5, 2.0, 3.0)
-    ] + [
-        (f"dispersive, L={L} n0={n0} n1={n1}", L, Cauchy(n0, n1))
-        for L, n0, n1 in ((1.0, 1.0, 1e-4), (1.0, 1.5, 1e-3), (2.0, 2.0, 1e-3))
-    ]
+# (name, L, model) of the battery's method-agreement checks, in order
+_AGREEMENT_CASES = tuple(
+    (f"dispersion-free, L={L} n0={n0}", L, Constant(n0))
+    for L in (0.5, 1.0, 2.0, 5.0)
+    for n0 in (1.0, 1.5, 2.0, 3.0)
+) + tuple(
+    (f"dispersive, L={L} n0={n0} n1={n1}", L, Cauchy(n0, n1))
+    for L, n0, n1 in ((1.0, 1.0, 1e-4), (1.0, 1.5, 1e-3), (2.0, 2.0, 1e-3))
+)
 
 
 def _split_terms(L: float, model: DispersionModel, quad: QuadratureSpec) -> tuple[tuple, tuple]:
@@ -216,7 +215,7 @@ def run_validation_checks(
     """
     checks: list[CheckResult] = []
 
-    for name, L, model in _agreement_cases():
+    for name, L, model in _AGREEMENT_CASES:
         _, worst, passed = _verdict(*_split_terms(L, model, quad), tol)
         checks.append(
             CheckResult(

@@ -47,11 +47,11 @@ tolerance by more than their nodes' rounding.  It takes a column of rows
 (c0, c1 and each F(g) piece are one-row columns) and gives their values
 and errors as arrays; a table column's rows go through it together, each
 panel carrying its row and each row keeping its own tolerance and sums,
-so that every row has the bits it has alone (at the default tail cut,
-see ``_table_rows``) and a row with a non-finite value fails alone.  The
-panels are graded toward the logarithmic point of I(u, 1) at u = 0,
-broken at a table's knots, where its integrand is only C^1, and cut into
-equal parts elsewhere, so c0 and c1 take one pass of 585 nodes each.
+so that every row has the bits it has alone and a row with a non-finite
+value fails alone.  The panels are graded toward the logarithmic point of
+I(u, 1) at u = 0, broken at a table's knots, where its integrand is only
+C^1, and cut into equal parts elsewhere, so c0 and c1 take one pass of
+585 nodes each.
 QUADPACK itself only backs the independent oracle ``inner_integral_quadrature``.
 
 The force is the exact -dE/dL of the windowed energy.  For full kappa_1 it
@@ -700,12 +700,7 @@ def _table_rows(L, model: Tabulated, quad: QuadratureSpec) -> tuple[Estimate, Es
     # from node passes over [u*f*x', x*f] that the rows share; Li_2 and
     # Li_3 run once, at every row's U.  Every node has u > 0, so x >= u > 0.
     # The energy is the first over 2*pi^2*n*L^3, with n the smallest index,
-    # and the force -(the second)/(2*pi^2*n*L^4).  The polylogarithm series
-    # takes as many terms as the column's largest e^(-2x(U)) needs.  At the
-    # default tail cut, x(U) >= u_max makes that one or two terms, which
-    # give every row its one-row bits; past a tail cut of about 1e-16 a
-    # row's end term can differ from its one-row call in the last bit
-    # (about 1 in 16,000 in random trials).
+    # and the force -(the second)/(2*pi^2*n*L^4).
     u_max = quad.u_max
     n = min(model.n)
     column = np.atleast_1d(L)

@@ -11,11 +11,12 @@ unit argument, where the series converges too slowly.  Downstream
 integrands reach arguments e^(-2*kappa*L) that approach 1 exactly where
 accuracy matters most, so the near-unit branch carries the load there.
 Both strategies, and log(1 - e^-x), take numpy arrays as well as scalars,
-so an integrand evaluates all its quadrature nodes in one call, and both
-orders in one pass: a tuple of orders stacks them on a first axis that
-shares the branch masks and the series' Horner loop.  Only the cached c0
-and F(g) builds pass node arrays; a sweep makes no call, or for a table
-one (2, 3) call over its rows' end terms U*I(x(U), 1).
+and each element of an array has the bits of its scalar call: the series
+sums every element with the terms its own x needs, one element at a time.
+A tuple of orders stacks them on a first axis that shares the branch
+masks.  Only the cached c0 and F(g) builds pass node arrays; a sweep makes
+no call, or for a table one (2, 3) call over its rows' end terms
+U*I(x(U), 1).
 """
 
 from __future__ import annotations
@@ -125,22 +126,22 @@ def _scalar_or_array(arg, out):
 
 
 def _polylog_series(s, x):
-    # Defining sum at a scalar or an array of x in [0, 1), by Horner's rule
-    # with as many terms as the largest x needs.  ``s`` is an order, or a
-    # tuple of orders whose sums share one loop over a stacked array (first
-    # axis the order), each to the same bits as when summed alone.
+    # Defining sum at a scalar or an array of x in [0, 1), each element by
+    # Horner's rule with as many terms as its own x needs, so an element has
+    # the bits of its scalar call.  ``s`` is an order, or a tuple of orders
+    # whose sums stack on a first axis.  Step n adds 1.0/n**s of an exact
+    # integer power.
     x = np.asarray(x, dtype=float)
-    top = float(x.max(initial=0.0))
-    terms = 1 if top == 0.0 else math.ceil(math.log(_SERIES_EPS) / math.log(top))
     orders = s if isinstance(s, tuple) else (s,)
-    # 1/n^s per step n (rows) and order s (columns), each the correctly
-    # rounded 1.0/n**s of an exact integer power
-    n = np.arange(min(max(terms, 1), _SERIES_CAP), 0, -1, dtype=np.int64)
-    steps = 1.0 / n[:, None] ** np.array(orders)
     total = np.zeros((len(orders), *x.shape))
-    for step in steps.reshape(*steps.shape, *(1,) * x.ndim):
-        total += step
-        total *= x
+    for at, v in np.ndenumerate(x):
+        v = float(v)
+        terms = 1 if v == 0.0 else math.ceil(math.log(_SERIES_EPS) / math.log(v))
+        for row, k in enumerate(orders):
+            acc = 0.0
+            for n in range(min(terms, _SERIES_CAP), 0, -1):
+                acc = (acc + 1.0 / n**k) * v
+            total[(row, *at)] = acc
     if isinstance(s, tuple):
         return total
     return _scalar_or_array(x, total[0])
@@ -171,8 +172,9 @@ def polylog_exp_neg(s: int | tuple[int, ...], w):
     where x = e^-w collapses onto 1.  ``w`` may be a scalar, which gives a
     float, or an array, which gives an array of the same shape.  ``s`` may
     also be a tuple of orders, such as (2, 3): that gives an array with one
-    row per order stacked ahead of w's shape, from one pass over w, and
-    each row equals the single-order result to the bit.
+    row per order stacked ahead of w's shape, from one pass over w.  Each
+    row equals the single-order result, and each element its scalar call,
+    to the bit.
     """
     orders = s if isinstance(s, tuple) else (s,)
     if not orders or any(k not in (2, 3) for k in orders):

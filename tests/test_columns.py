@@ -184,6 +184,34 @@ class TestRowsMatchFloatCalls:
         ]
         _assert_rows_match(column, scalars)
 
+    def test_table_end_terms_past_the_default_tail_cut(self, monkeypatch):
+        # a column's rows take their end terms U*I(x(U), 1) from one
+        # inner_integral call.  At tail_cut=1e-8 the row at L = 0.2 reads the
+        # smallest index there (w = 2*x(U) = 18.42, 3 series terms) and the
+        # row at L = 2.83791 has w = 19.944 (2 terms alone), so one term
+        # count for the column would give the second end term another last bit
+        model, quad = COLUMN_TABLES["drude40"], COLUMN_SPECS["tail_cut=1e-8"]
+        L = np.array([0.2, 2.83791])
+        ends = []
+        inner = lifshitz.inner_integral
+
+        def recorded(kappa1, scale):
+            value = inner(kappa1, scale)
+            ends.append((2.0 * kappa1, value))
+            return value
+
+        monkeypatch.setattr(lifshitz, "inner_integral", recorded)
+        column = lifshitz_rows(L, model, SurfaceTermSpec(1e-3), quad, Mode.FULL_KAPPA1)
+        scalars = [
+            total_energy_lifshitz(Scenario(x, model, SurfaceTermSpec(1e-3)), quad,
+                                  Mode.FULL_KAPPA1)
+            for x in L.tolist()
+        ]
+        _assert_rows_match(column, scalars)
+        (w, pair), *alone = ends
+        assert w.tolist() == pytest.approx([18.4207, 19.9439], abs=1e-4)
+        assert pair.tolist() == [float(value[0]) for _, value in alone]
+
     def test_a_row_past_the_cap_takes_its_passes_alone(self, monkeypatch):
         # on 1,000 knots the row at L = 0.5 alone holds more first-pass nodes
         # than one group takes, so each row of the column is a group of its own

@@ -144,7 +144,7 @@ class TestValidationBattery:
 @pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-7, 1e-3])
 @pytest.mark.parametrize("case", range(AGREEMENTS))
 def test_agreement_check_is_compare_methods(case, tol):
-    name, L, model = crosscheck._agreement_cases()[case]
+    name, L, model = crosscheck._AGREEMENT_CASES[case]
     report = compare_methods(Scenario(L, model), DEFAULT_QUADRATURE, tol)
     worst = max(
         report.rel_discrepancy_e0, report.rel_discrepancy_delta, report.rel_discrepancy_total

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import replace
+from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,13 @@ from casdisp.lifshitz import (
 from casdisp.special import log_one_minus_exp, zeta_value
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _needs(library: str):
+    # a skip decided at collection: a @given test that skips in its body
+    # would still run hypothesis's explicit examples and report them
+    return pytest.mark.skipif(find_spec(library) is None, reason=f"needs {library}")
+
 
 # direct adaptive quadrature of k*log(1 - e^-2k) on [1, inf), 40 digits
 INNER_1_1 = -0.10453683585783608
@@ -432,6 +440,7 @@ def _quadpack_oracle(integrand, breaks):
 
 
 class TestNodeRule:
+    @_needs("scipy")
     @settings(max_examples=40, deadline=None)
     @given(
         L_exp=st.floats(min_value=-6.0, max_value=6.0),
@@ -446,7 +455,7 @@ class TestNodeRule:
     def test_full_kappa1_within_estimate_of_quadpack(self, L_exp, n0, trust):
         # the window ends at the kappa_1 peak, xi = sqrt(n0/(3*n1)), or at
         # u_max, whichever comes first
-        quad = pytest.importorskip("scipy.integrate").quad
+        from scipy.integrate import quad
         L = 10.0**L_exp
         model = Cauchy(n0, trust * (L / (2.0 * math.pi)) ** 2)
         u_max = DEFAULT_QUADRATURE.u_max
@@ -1153,10 +1162,11 @@ class TestSmallGSeries:
             assert _series_coefficient(2) == pytest.approx(-math.pi**8 / 560.0, rel=1e-15)
             assert _series_coefficient(3) == pytest.approx(-math.pi**10 / 99.0, rel=1e-15)
 
+    @_needs("mpmath")
     @settings(max_examples=60, deadline=None)
     @given(log_g=st.floats(min_value=math.log(1e-8), max_value=math.log(3e-4)))
     def test_full_row_within_estimate_of_series(self, log_g):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         g = math.exp(log_g)
         raw, raw_error, slope, slope_error, _, peak = lifshitz._full_row(g, DEFAULT_QUADRATURE)
         assert not peak

@@ -271,11 +271,8 @@ class TestArrayArguments:
         values = polylog_exp_neg(s, w)
         assert isinstance(values, np.ndarray) and values.shape == w.shape
         for wi, vi in zip(ARRAY_POINTS, values):
-            scalar = polylog_exp_neg(s, wi)
+            assert vi == polylog_exp_neg(s, wi)
             exact = _mp_polylog_exp_neg(s, wi)
-            # an array and a scalar call may sum a different number of
-            # vanishing terms, so they agree to rounding, not bitwise
-            assert vi == pytest.approx(scalar, rel=4e-16, abs=1e-300)
             assert vi == pytest.approx(exact, rel=6e-16, abs=1e-300)
 
     @pytest.mark.parametrize("s", [2, 3])
@@ -308,9 +305,18 @@ class TestArrayArguments:
                 log_one_minus_exp(np.array(bad))
 
 
+def _series_term_by_term(s, x):
+    # sum of x^n/n^s by Horner's rule over the terms until x^n < 1e-17*x
+    terms = 1 if x == 0.0 else math.ceil(math.log(1e-17) / math.log(x))
+    total = 0.0
+    for n in range(terms, 0, -1):
+        total = (total + 1.0 / n**s) * x
+    return total
+
+
 def _one_order(s, w):
-    # Li_s(e^-w) on an array as it was summed one order at a time: numpy's
-    # polyval near the unit argument, one Horner loop of 1.0/n**s past it
+    # Li_s(e^-w) on an array one order at a time: numpy's polyval near the
+    # unit argument, past it each element's own series in Python floats
     w = np.asarray(w, dtype=float)
     out = np.full_like(w, ZETA_VALUES[s])
     near, far = (w > 0.0) & (w < 1.0), w >= 1.0
@@ -323,18 +329,13 @@ def _one_order(s, w):
         power = -(v * v) * v
     first, odd = _NEAR_UNIT[s]
     out[near] = head + power * (first - v * np.polyval(odd, v * v))
-    x = np.exp(-w[far])
-    top = float(x.max(initial=0.0))
-    terms = 1 if top == 0.0 else math.ceil(math.log(1e-17) / math.log(top))
-    total = np.zeros_like(x)
-    for n in range(terms, 0, -1):
-        total = (total + 1.0 / n**s) * x
-    out[far] = total
+    out[far] = [_series_term_by_term(s, float(x)) for x in np.exp(-w[far])]
     return out
 
 
 class TestPairedOrders:
-    """Li_2 and Li_3 from one pass equal each order summed alone, bit for bit."""
+    """Li_2 and Li_3 from one call equal each order alone, and every element its
+    scalar call, bit for bit."""
 
     @pytest.mark.parametrize(
         "w",
@@ -379,6 +380,22 @@ class TestPairedOrders:
         assert pair.shape == (2, *x.shape)
         for row, s in zip(pair, orders):
             assert row.tobytes() == _polylog_series(s, x).tobytes()
+
+    def test_every_element_has_its_scalar_bits(self):
+        # a term count taken from a call's largest x gives Li_2 another
+        # last bit at w = 19.589, 19.649 and 19.853 of these
+        w = np.random.default_rng(1).uniform(1.0, 40.0, 20000)
+        pair = polylog_exp_neg((2, 3), w)
+        for row, s in zip(pair, (2, 3)):
+            assert row.tolist() == [polylog_exp_neg(s, v) for v in w.tolist()]
+
+    def test_smaller_element_takes_its_own_terms(self):
+        # x = e^-18.4 needs 3 terms, e^-19.853 only 2: with 3, its Li_2 is
+        # 2.3868138566727675e-09
+        w = 19.85330647535003
+        assert polylog_exp_neg(2, w) == 2.3868138566727667e-09
+        assert polylog_exp_neg((2, 3), np.array([18.4, w]))[0, 1] == 2.3868138566727667e-09
+        assert _polylog_series(2, np.exp(-np.array([18.4, w])))[1] == 2.3868138566727667e-09
 
     def test_scalar_and_order_checks(self):
         pair = polylog_exp_neg((2, 3), 0.5)
